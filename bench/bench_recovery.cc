@@ -1,8 +1,9 @@
 // Recovery and admission bench for the crash-durable anonymizer service.
 //
 // Part 1 sweeps WAL length (via request count) with and without
-// checkpointing and measures cold recovery: wall time to rebuild the
-// registry from disk, records replayed vs skipped, and digest equality
+// checkpointing and measures cold recovery of the one-shard durability
+// directory (RecoverAllShards + AssembleRegistry): wall time to rebuild
+// the registry from disk, records replayed vs skipped, and digest equality
 // with the live pre-shutdown registry (a failed equality is a bench
 // error, not a data point).
 //
@@ -23,14 +24,31 @@
 
 #include "bench/bench_common.h"
 #include "core/policy_factory.h"
-#include "durability/recovery.h"
+#include "durability/sharded_recovery.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
+#include "sim/sharded_service_driver.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/timer.h"
 
 namespace {
+
+// Runs `config` on one shard, logging under `durability_dir` when set.
+nela::util::Result<nela::sim::ServiceResult> RunOneShard(
+    const nela::sim::Scenario& scenario,
+    const nela::sim::ServiceConfig& config,
+    const std::string& durability_dir) {
+  nela::sim::ShardedServiceConfig sharded;
+  sharded.service = config;
+  sharded.durability_dir = durability_dir;
+  nela::sim::ShardedServiceDriver driver(
+      scenario.dataset, scenario.graph,
+      nela::core::MakeSecurePolicyFactory(nela::core::BoundingParams{}),
+      sharded);
+  auto result = driver.Run();
+  if (!result.ok()) return result.status();
+  return std::move(result).value().service;
+}
 
 struct RecoverySample {
   uint32_t requests = 0;
@@ -134,7 +152,6 @@ int Run(int argc, char** argv) {
       nela::bench::BuildScenarioOrExit(static_cast<uint32_t>(users),
                                        &exit_code);
   if (!scenario.has_value()) return exit_code;
-  const nela::core::BoundingParams params;
 
   std::error_code ec;
   std::filesystem::create_directories(output_dir, ec);  // best effort
@@ -164,16 +181,9 @@ int Run(int argc, char** argv) {
       config.threads = static_cast<uint32_t>(threads);
       config.master_seed = static_cast<uint64_t>(master_seed);
       config.workload_seed = static_cast<uint64_t>(workload_seed);
-      config.wal_path = scratch + "/wal.log";
-      if (interval > 0) {
-        config.checkpoint_dir = scratch;
-        config.checkpoint_interval = interval;
-      }
-      nela::sim::ServiceDriver driver(
-          scenario->dataset, scenario->graph,
-          nela::core::MakeSecurePolicyFactory(params), config);
+      config.checkpoint_interval = interval;
       const nela::util::WallTimer run_timer;
-      auto result = driver.Run();
+      auto result = RunOneShard(*scenario, config, scratch);
       if (!result.ok()) {
         std::fprintf(stderr, "service run failed: %s\n",
                      result.status().ToString().c_str());
@@ -181,21 +191,22 @@ int Run(int argc, char** argv) {
       }
       const double run_seconds = run_timer.ElapsedSeconds();
 
-      nela::durability::RecoveryConfig recovery_config;
-      recovery_config.wal_path = config.wal_path;
-      recovery_config.checkpoint_dir = config.checkpoint_dir;
-      recovery_config.user_count = static_cast<uint32_t>(users);
-      nela::durability::RecoveryManager manager(recovery_config);
       const nela::util::WallTimer recovery_timer;
-      auto recovered = manager.Recover();
-      const double recovery_seconds = recovery_timer.ElapsedSeconds();
+      auto recovered = nela::durability::RecoverAllShards(
+          scratch, 1, static_cast<uint32_t>(users));
       if (!recovered.ok()) {
         std::fprintf(stderr, "recovery failed: %s\n",
                      recovered.status().ToString().c_str());
         return 1;
       }
-      if (recovered.value().registry->Digest() !=
-          result.value().registry_digest) {
+      auto registry = nela::durability::AssembleRegistry(recovered.value());
+      const double recovery_seconds = recovery_timer.ElapsedSeconds();
+      if (!registry.ok()) {
+        std::fprintf(stderr, "recovery failed: %s\n",
+                     registry.status().ToString().c_str());
+        return 1;
+      }
+      if (registry.value()->Digest() != result.value().registry_digest) {
         std::fprintf(stderr,
                      "recovered digest diverged from the live registry at "
                      "requests=%u interval=%u\n",
@@ -208,8 +219,8 @@ int Run(int argc, char** argv) {
       sample.checkpoint_interval = interval;
       sample.wal_records = result.value().wal_records;
       sample.checkpoints_written = result.value().checkpoints_written;
-      sample.records_replayed = recovered.value().records_replayed;
-      sample.records_skipped = recovered.value().records_skipped;
+      sample.records_replayed = recovered.value().TotalReplayed();
+      sample.records_skipped = recovered.value().shards[0].records_skipped;
       sample.run_seconds = run_seconds;
       sample.recovery_seconds = recovery_seconds;
       recovery_samples.push_back(sample);
@@ -255,10 +266,7 @@ int Run(int argc, char** argv) {
     config.service_time_ms = service_time_ms;
     config.queue_capacity = 32;
     config.deadline_ms = 8.0;
-    nela::sim::ServiceDriver driver(
-        scenario->dataset, scenario->graph,
-        nela::core::MakeSecurePolicyFactory(params), config);
-    auto result = driver.Run();
+    auto result = RunOneShard(*scenario, config, "");
     if (!result.ok()) {
       std::fprintf(stderr, "service run failed: %s\n",
                    result.status().ToString().c_str());

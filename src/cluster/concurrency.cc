@@ -1,9 +1,6 @@
 #include "cluster/concurrency.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "cluster/distributed_tconn.h"
 
 namespace nela::cluster {
 
@@ -79,112 +76,6 @@ Ticket ClaimCoordinator::HolderOf(graph::VertexId v) const {
   util::MutexLock lock(mu_);
   NELA_CHECK_LT(v, holder_.size());
   return holder_[v];
-}
-
-ConcurrentCloakingSession::ConcurrentCloakingSession(const graph::Wpg& graph,
-                                                     uint32_t k,
-                                                     Registry* registry)
-    : graph_(graph), k_(k), registry_(registry),
-      coordinator_(graph.vertex_count()) {
-  NELA_CHECK(registry != nullptr);
-  NELA_CHECK_EQ(registry->user_count(), graph.vertex_count());
-}
-
-util::Result<std::vector<ConcurrentOutcome>>
-ConcurrentCloakingSession::RunAll(const std::vector<graph::VertexId>& hosts) {
-  enum class State { kIdle, kClaimed, kDone };
-  struct Pending {
-    graph::VertexId host;
-    Ticket ticket;
-    ConcurrentOutcome outcome;
-    State state = State::kIdle;
-    // Speculative partition held while claimed.
-    std::vector<ClusterInfo> new_clusters;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(hosts.size());
-  for (graph::VertexId host : hosts) {
-    if (host >= graph_.vertex_count()) {
-      return util::InvalidArgumentError("host out of range");
-    }
-    pending.push_back(Pending{host, coordinator_.OpenRequest(), {},
-                              State::kIdle, {}});
-  }
-
-  // Fair round-robin, one step per turn: an idle request computes its
-  // candidate and claims it; a claimed request commits on its NEXT turn --
-  // leaving a window in which contending requests genuinely wound each
-  // other. Wound-wait guarantees the oldest contending request always
-  // commits, so every full pass retires at least one request.
-  uint32_t remaining = static_cast<uint32_t>(pending.size());
-  // Generous safety bound: exceeding it would indicate a livelock bug.
-  uint64_t turn_budget =
-      32ull * (pending.size() + 1) * (pending.size() + 1) + 64;
-  while (remaining > 0) {
-    NELA_CHECK_GT(turn_budget--, 0u);
-    for (Pending& request : pending) {
-      if (request.state == State::kDone) continue;
-
-      if (request.state == State::kClaimed) {
-        if (coordinator_.WasWounded(request.ticket)) {
-          // An older request revoked our claims: drop the candidate.
-          request.new_clusters.clear();
-          request.state = State::kIdle;
-          ++request.outcome.retries;
-          continue;
-        }
-        // Commit the speculative partition into the authoritative
-        // registry (claims make overlapping commits impossible).
-        for (const ClusterInfo& info : request.new_clusters) {
-          auto committed = registry_->Register(info.members,
-                                               info.connectivity, info.valid);
-          if (!committed.ok()) return committed.status();
-        }
-        request.new_clusters.clear();
-        request.outcome.cluster_id = registry_->ClusterOf(request.host);
-        NELA_CHECK_NE(request.outcome.cluster_id, kNoCluster);
-        coordinator_.Release(request.ticket);
-        request.state = State::kDone;
-        --remaining;
-        continue;
-      }
-
-      // Idle: fast path first -- someone may have clustered this host.
-      if (registry_->IsClustered(request.host)) {
-        request.outcome.cluster_id = registry_->ClusterOf(request.host);
-        coordinator_.Release(request.ticket);
-        request.state = State::kDone;
-        --remaining;
-        continue;
-      }
-
-      // Speculative phase 1 on a snapshot.
-      std::unique_ptr<Registry> scratch = registry_->Snapshot();
-      const ClusterId first_new = scratch->cluster_count();
-      DistributedTConnClusterer clusterer(graph_, k_, scratch.get());
-      auto speculative = clusterer.ClusterFor(request.host);
-      if (!speculative.ok()) return speculative.status();
-
-      std::vector<graph::VertexId> claim_set;
-      std::vector<ClusterInfo> new_clusters;
-      for (ClusterId id = first_new; id < scratch->cluster_count(); ++id) {
-        const ClusterInfo& info = scratch->info(id);
-        claim_set.insert(claim_set.end(), info.members.begin(),
-                         info.members.end());
-        new_clusters.push_back(info);
-      }
-      if (!coordinator_.TryClaim(request.ticket, claim_set)) {
-        ++request.outcome.retries;  // an older request holds users we need
-        continue;
-      }
-      request.new_clusters = std::move(new_clusters);
-      request.state = State::kClaimed;
-    }
-  }
-  std::vector<ConcurrentOutcome> outcomes;
-  outcomes.reserve(pending.size());
-  for (const Pending& request : pending) outcomes.push_back(request.outcome);
-  return outcomes;
 }
 
 }  // namespace nela::cluster

@@ -18,7 +18,8 @@
 // phase 1 computes a candidate membership from a registry snapshot, then
 // commits it through the coordinator; a conflict means another host claimed
 // an overlapping set first, and the request recomputes against the fresh
-// registry state. ConcurrentCloakingSession drives that loop.
+// registry state. sim::ShardedServiceDriver drives that loop on real
+// worker threads, one coordinator per spatial shard.
 
 #ifndef NELA_CLUSTER_CONCURRENCY_H_
 #define NELA_CLUSTER_CONCURRENCY_H_
@@ -26,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/clusterer.h"
 #include "cluster/registry.h"
 #include "graph/wpg.h"
 #include "util/mutex.h"
@@ -41,8 +41,9 @@ using Ticket = uint64_t;
 inline constexpr Ticket kNoTicket = 0;
 
 // Thread safety: every operation is atomic under an internal mutex, so
-// genuinely parallel requests (sim::BatchDriver worker threads) and the
-// single-threaded round-robin simulation share the same coordinator code.
+// genuinely parallel requests (sim::ShardedServiceDriver worker threads)
+// and the single-request pipeline (core::ClaimCommitStage) share the same
+// coordinator code.
 class ClaimCoordinator {
  public:
   explicit ClaimCoordinator(uint32_t user_count);
@@ -107,41 +108,6 @@ class ClaimCoordinator {
   Ticket next_ticket_ GUARDED_BY(mu_) = 1;
   uint64_t conflicts_ GUARDED_BY(mu_) = 0;
   uint64_t wounds_ GUARDED_BY(mu_) = 0;
-};
-
-// Serializes concurrent cloaking requests on top of any Clusterer.
-//
-// Simulates R hosts whose requests arrive "almost at the same time": each
-// request repeatedly (a) snapshots the registry, (b) runs phase 1 on a
-// scratch registry to obtain a candidate partition, (c) claims the
-// candidate's users through the coordinator, and (d) commits into the real
-// registry -- retrying from (a) whenever it loses a claim or was wounded.
-// The commit order interleaves round-robin, so claims genuinely contend.
-struct ConcurrentOutcome {
-  ClusterId cluster_id = kNoCluster;
-  uint32_t retries = 0;
-};
-
-class ConcurrentCloakingSession {
- public:
-  // `registry` is the authoritative store; must outlive the session.
-  ConcurrentCloakingSession(const graph::Wpg& graph, uint32_t k,
-                            Registry* registry);
-
-  // Runs all `hosts` "concurrently" (fair round-robin interleaving of
-  // claim attempts) and returns each host's final cluster. Guarantees:
-  // every user ends in at most one cluster; no deadlock (the oldest
-  // request in any conflict always makes progress).
-  util::Result<std::vector<ConcurrentOutcome>> RunAll(
-      const std::vector<graph::VertexId>& hosts);
-
-  const ClaimCoordinator& coordinator() const { return coordinator_; }
-
- private:
-  const graph::Wpg& graph_;
-  uint32_t k_;
-  Registry* registry_;
-  ClaimCoordinator coordinator_;
 };
 
 }  // namespace nela::cluster

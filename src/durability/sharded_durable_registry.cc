@@ -58,6 +58,19 @@ ShardedDurableRegistry::Open(
   return store;
 }
 
+util::Status ShardedDurableRegistry::AppendLocked(uint32_t stream,
+                                                  const WalRecord& record) {
+  if (crash_ != nullptr &&
+      crash_->ShouldCrash(net::ProcessCrashPoint::kMidWalAppend)) {
+    // Half of the framed record ([u32 len][u64 checksum] + payload) reaches
+    // the file, as a crash mid-append would leave it.
+    const std::string payload = EncodeWalRecord(record);
+    (void)wals_[stream]->AppendTorn(record, (payload.size() + 12) / 2);
+    return CrashError(net::ProcessCrashPoint::kMidWalAppend);
+  }
+  return wals_[stream]->Append(record);
+}
+
 util::Status ShardedDurableRegistry::RegisterBatch(
     uint32_t stream, const std::vector<cluster::ClusterInfo>& clusters) {
   if (clusters.empty()) return util::Status();
@@ -73,13 +86,7 @@ util::Status ShardedDurableRegistry::RegisterBatch(
     record.clusters.push_back(
         WalClusterImage{info.members, info.connectivity, info.valid});
   }
-  if (crash_ != nullptr &&
-      crash_->ShouldCrash(net::ProcessCrashPoint::kMidWalAppend)) {
-    const std::string frame = EncodeWalRecord(record);
-    (void)wals_[stream]->AppendTorn(record, (frame.size() + 12) / 2);
-    return CrashError(net::ProcessCrashPoint::kMidWalAppend);
-  }
-  const util::Status appended = wals_[stream]->Append(record);
+  const util::Status appended = AppendLocked(stream, record);
   if (!appended.ok()) return appended;
   for (size_t c = 0; c < clusters.size(); ++c) {
     auto id = registry_->Register(clusters[c].members,
@@ -108,13 +115,7 @@ util::Status ShardedDurableRegistry::SetRegion(cluster::ClusterId id,
   record.type = WalRecordType::kSetRegion;
   record.cluster_id = id;
   record.region = region;
-  if (crash_ != nullptr &&
-      crash_->ShouldCrash(net::ProcessCrashPoint::kMidWalAppend)) {
-    const std::string frame = EncodeWalRecord(record);
-    (void)wals_[stream]->AppendTorn(record, (frame.size() + 12) / 2);
-    return CrashError(net::ProcessCrashPoint::kMidWalAppend);
-  }
-  const util::Status appended = wals_[stream]->Append(record);
+  const util::Status appended = AppendLocked(stream, record);
   if (!appended.ok()) return appended;
   registry_->SetRegion(id, region);
   ++next_lsns_[stream];

@@ -1,5 +1,6 @@
-// WAL-then-apply wrapper for the sharded service: K independent WAL
-// streams, one per shard, in front of the single authoritative registry.
+// WAL-then-apply wrapper for the service: K independent WAL streams, one
+// per shard, in front of the single authoritative registry (K=1 is one
+// stream).
 //
 // Stream discipline: one turnstile commit -- however many clusters it
 // registers, and whichever shards own them -- is appended as ONE
@@ -19,8 +20,16 @@
 // byte-identical to an uninterrupted run's.
 //
 // Lock order: ShardedDurableRegistry::mu_ -> WalWriter::mu_ ->
-// Registry::mu_ (same shape as DurableRegistry's), declared to the
-// analysis via ACQUIRED_BEFORE on mu_.
+// Registry::mu_, declared to the analysis via ACQUIRED_BEFORE on mu_.
+// Holding mu_ across (assign lsn, append, apply) is what lets
+// CheckpointAll() claim each stream's exact covered_lsn: no mutation can
+// land between the snapshot and the position it records. Callers must not
+// hold the registry mutex when calling in.
+//
+// The crash scheduler hook injects ProcessCrashPoint::kMidWalAppend and
+// kMidCheckpoint faults: the record or checkpoint is half-written, nothing
+// is applied, and the call returns kUnavailable, after which the driver
+// halts as crashed.
 
 #ifndef NELA_DURABILITY_SHARDED_DURABLE_REGISTRY_H_
 #define NELA_DURABILITY_SHARDED_DURABLE_REGISTRY_H_
@@ -80,6 +89,12 @@ class ShardedDurableRegistry {
   uint64_t last_lsn(uint32_t stream) const EXCLUDES(mu_);
 
  private:
+  // Appends `record` to `stream`, or -- when the crash scheduler fires
+  // kMidWalAppend -- tears it on disk and returns kUnavailable.
+  [[nodiscard]] util::Status AppendLocked(uint32_t stream,
+                                          const WalRecord& record)
+      REQUIRES(mu_);
+
   ShardedDurableRegistry(cluster::Registry* registry, std::string base_dir,
                          CrashPointScheduler* crash,
                          std::vector<uint64_t> next_lsns,
@@ -93,8 +108,7 @@ class ShardedDurableRegistry {
   // its own appends internally.
   std::vector<std::unique_ptr<WalWriter>> wals_;
 
-  // Same hierarchy as DurableRegistry: this lock precedes every stream's
-  // WAL lock and the registry's.
+  // This lock precedes every stream's WAL lock and the registry's.
   mutable util::Mutex mu_ ACQUIRED_BEFORE(registry_->mu());
   std::vector<uint64_t> next_lsns_ GUARDED_BY(mu_);
   // Cluster id -> stream that logged it (guards SetRegion routing and the

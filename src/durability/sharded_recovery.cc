@@ -1,8 +1,10 @@
 #include "durability/sharded_recovery.h"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -13,26 +15,20 @@ namespace nela::durability {
 
 namespace {
 
-// Parses "checkpoint-<seq>.ckpt" -> seq; nullopt for other names. (Same
-// naming scheme RecoveryManager scans; shard checkpoints reuse
-// CheckpointPath inside each shard directory.)
+// Parses "checkpoint-<seq>.ckpt" -> seq; nullopt for any other name.
+// Only the exact spelling CheckpointPath() produces is accepted: a leading
+// zero ("checkpoint-007.ckpt") would otherwise parse to a seq whose file is
+// a different one, and a digit run past u64 would wrap.
 std::optional<uint64_t> CheckpointSeqOf(const std::string& filename) {
-  constexpr const char* kPrefix = "checkpoint-";
-  constexpr const char* kSuffix = ".ckpt";
+  constexpr std::string_view kPrefix = "checkpoint-";
   if (filename.rfind(kPrefix, 0) != 0) return std::nullopt;
-  const size_t suffix_pos = filename.rfind(kSuffix);
-  if (suffix_pos == std::string::npos ||
-      suffix_pos + 5 != filename.size()) {
+  uint64_t seq = 0;
+  const char* end = filename.data() + filename.size();
+  if (std::from_chars(filename.data() + kPrefix.size(), end, seq).ec !=
+      std::errc()) {
     return std::nullopt;
   }
-  const std::string digits =
-      filename.substr(11, suffix_pos - 11);  // between prefix and suffix
-  if (digits.empty()) return std::nullopt;
-  uint64_t seq = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
-  }
+  if (CheckpointPath("", seq) != "/" + filename) return std::nullopt;
   return seq;
 }
 
@@ -114,8 +110,8 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
   }
 
   // --- 2. Torn-tail truncation + replay of this shard's stream -------------
-  const std::string wal_path = ShardWalPath(base_dir, shard);
-  auto truncated = TruncateTornTail(wal_path);
+  const std::string stream_path = ShardWalPath(base_dir, shard);
+  auto truncated = TruncateTornTail(stream_path);
   if (!truncated.ok()) return truncated.status();
   state.torn_bytes_discarded = truncated.value();
 
@@ -128,7 +124,7 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
     index_of.emplace(state.clusters[i].id, i);
   }
 
-  auto wal = ReadWal(wal_path);
+  auto wal = ReadWal(stream_path);
   if (!wal.ok()) return wal.status();
   uint64_t max_lsn = covered_lsn;
   for (const WalRecord& record : wal.value().records) {
@@ -169,12 +165,6 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
         state.clusters[it->second].info.region = record.region;
         break;
       }
-      case WalRecordType::kRegister:
-      case WalRecordType::kRegisterBatch:
-        // Single-stream record types never appear in shard streams; seeing
-        // one means a classic WAL was dropped into a shard directory.
-        return util::InvalidArgumentError(
-            "single-stream record in a shard WAL stream");
     }
     ++state.records_replayed;
   }

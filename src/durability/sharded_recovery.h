@@ -1,4 +1,5 @@
-// Sharded crash recovery: per-shard checkpoint restore + WAL replay.
+// Crash recovery: per-shard checkpoint restore + WAL replay. This is the
+// only recovery path; a single-shard service is the K=1 case of it.
 //
 // Each shard recovers from ITS OWN directory alone -- newest intact
 // per-shard checkpoint, torn-tail truncation of its WAL stream, lsn-gated
@@ -7,8 +8,9 @@
 // reads, or mutates a sibling's files (the single-shard-crash isolation
 // the kill-anywhere matrix asserts).
 //
-// Like RecoveryManager, every step is a pure function of the on-disk
-// state: recovering twice, or recovering only the crashed shard and then
+// Every step is a pure function of the on-disk state (recovery never
+// consults in-memory state and mutates nothing but a torn WAL tail):
+// recovering twice, or recovering only the crashed shard and then
 // all of them, yields bit-identical slices. Because one turnstile commit
 // lands in exactly one stream and commits are globally ordered, the union
 // of the recovered slices is a contiguous prefix of the global cluster-id
@@ -58,7 +60,9 @@ struct ShardedRecoveredState {
 
 // Recovers shard `shard` from <base_dir>/shard-<shard> alone. Mutates
 // nothing but that shard's torn WAL tail. `user_count` sizes validation
-// only (member ids must fall inside the population).
+// only (member ids must fall inside the population). Fails, touching no
+// file, when the stream holds a checksum-valid frame that does not decode
+// (see wal.h).
 util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
                                                uint32_t shard,
                                                uint32_t user_count);

@@ -1,63 +1,19 @@
 #include "durability/wal.h"
 
-#include <cstring>
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 
+#include "durability/codec.h"
 #include "util/hash.h"
 
 namespace nela::durability {
 
 namespace {
 
-void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-// Cursor over a byte buffer; every Take checks remaining length.
-struct Reader {
-  const unsigned char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool TakeU8(uint8_t* value) {
-    if (pos + 1 > size) return false;
-    *value = data[pos++];
-    return true;
-  }
-  bool TakeU32(uint32_t* value) {
-    if (pos + 4 > size) return false;
-    *value = 0;
-    for (int i = 0; i < 4; ++i) {
-      *value |= static_cast<uint32_t>(data[pos + static_cast<size_t>(i)])
-                << (8 * i);
-    }
-    pos += 4;
-    return true;
-  }
-  bool TakeU64(uint64_t* value) {
-    if (pos + 8 > size) return false;
-    *value = 0;
-    for (int i = 0; i < 8; ++i) {
-      *value |= static_cast<uint64_t>(data[pos + static_cast<size_t>(i)])
-                << (8 * i);
-    }
-    pos += 8;
-    return true;
-  }
-};
+using codec::PutU32;
+using codec::PutU64;
+using codec::PutU8;
 
 // A frame header is [u32 len][u64 checksum].
 constexpr size_t kFrameHeaderBytes = 12;
@@ -81,128 +37,37 @@ std::string EncodeWalRecord(const WalRecord& record) {
   PutU64(&payload, record.lsn);
   PutU8(&payload, static_cast<uint8_t>(record.type));
   switch (record.type) {
-    case WalRecordType::kRegister: {
-      PutU32(&payload, static_cast<uint32_t>(record.members.size()));
-      for (graph::VertexId member : record.members) PutU32(&payload, member);
-      PutU64(&payload, util::DoubleBits(record.connectivity));
-      PutU8(&payload, record.valid ? 1 : 0);
-      break;
-    }
-    case WalRecordType::kSetRegion: {
+    case WalRecordType::kSetRegion:
       PutU32(&payload, record.cluster_id);
-      PutU64(&payload, util::DoubleBits(record.region.min_x()));
-      PutU64(&payload, util::DoubleBits(record.region.min_y()));
-      PutU64(&payload, util::DoubleBits(record.region.max_x()));
-      PutU64(&payload, util::DoubleBits(record.region.max_y()));
+      codec::PutRect(&payload, record.region);
       break;
-    }
-    case WalRecordType::kRegisterBatch: {
-      PutU32(&payload, static_cast<uint32_t>(record.clusters.size()));
-      for (const WalClusterImage& image : record.clusters) {
-        PutU32(&payload, static_cast<uint32_t>(image.members.size()));
-        for (graph::VertexId member : image.members) {
-          PutU32(&payload, member);
-        }
-        PutU64(&payload, util::DoubleBits(image.connectivity));
-        PutU8(&payload, image.valid ? 1 : 0);
-      }
-      break;
-    }
-    case WalRecordType::kShardRegisterBatch: {
+    case WalRecordType::kShardRegisterBatch:
       PutU32(&payload, record.first_cluster_id);
       PutU32(&payload, static_cast<uint32_t>(record.clusters.size()));
       for (const WalClusterImage& image : record.clusters) {
-        PutU32(&payload, static_cast<uint32_t>(image.members.size()));
-        for (graph::VertexId member : image.members) {
-          PutU32(&payload, member);
-        }
-        PutU64(&payload, util::DoubleBits(image.connectivity));
-        PutU8(&payload, image.valid ? 1 : 0);
+        codec::PutCluster(&payload, image.members, image.connectivity,
+                          image.valid);
       }
       break;
-    }
   }
   return payload;
 }
 
 util::Result<WalRecord> DecodeWalRecord(const std::string& payload) {
-  Reader reader{reinterpret_cast<const unsigned char*>(payload.data()),
-                payload.size()};
+  codec::Reader reader(payload.data(), payload.size());
   WalRecord record;
   uint8_t type = 0;
   if (!reader.TakeU64(&record.lsn) || !reader.TakeU8(&type)) {
     return util::InvalidArgumentError("WAL payload truncated in header");
   }
   switch (type) {
-    case static_cast<uint8_t>(WalRecordType::kRegister): {
-      record.type = WalRecordType::kRegister;
-      uint32_t member_count = 0;
-      if (!reader.TakeU32(&member_count)) {
-        return util::InvalidArgumentError("WAL register payload truncated");
-      }
-      record.members.reserve(member_count);
-      for (uint32_t i = 0; i < member_count; ++i) {
-        uint32_t member = 0;
-        if (!reader.TakeU32(&member)) {
-          return util::InvalidArgumentError("WAL member list truncated");
-        }
-        record.members.push_back(member);
-      }
-      uint64_t connectivity_bits = 0;
-      uint8_t valid = 0;
-      if (!reader.TakeU64(&connectivity_bits) || !reader.TakeU8(&valid)) {
-        return util::InvalidArgumentError("WAL register payload truncated");
-      }
-      record.connectivity = util::DoubleFromBits(connectivity_bits);
-      record.valid = valid != 0;
-      break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kSetRegion): {
+    case static_cast<uint8_t>(WalRecordType::kSetRegion):
       record.type = WalRecordType::kSetRegion;
-      uint64_t bits[4] = {0, 0, 0, 0};
-      if (!reader.TakeU32(&record.cluster_id) || !reader.TakeU64(&bits[0]) ||
-          !reader.TakeU64(&bits[1]) || !reader.TakeU64(&bits[2]) ||
-          !reader.TakeU64(&bits[3])) {
+      if (!reader.TakeU32(&record.cluster_id) ||
+          !reader.TakeRect(&record.region)) {
         return util::InvalidArgumentError("WAL set-region payload truncated");
       }
-      record.region = geo::Rect(
-          util::DoubleFromBits(bits[0]), util::DoubleFromBits(bits[1]),
-          util::DoubleFromBits(bits[2]), util::DoubleFromBits(bits[3]));
       break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kRegisterBatch): {
-      record.type = WalRecordType::kRegisterBatch;
-      uint32_t cluster_count = 0;
-      if (!reader.TakeU32(&cluster_count)) {
-        return util::InvalidArgumentError("WAL batch payload truncated");
-      }
-      record.clusters.reserve(cluster_count);
-      for (uint32_t c = 0; c < cluster_count; ++c) {
-        WalClusterImage image;
-        uint32_t member_count = 0;
-        if (!reader.TakeU32(&member_count)) {
-          return util::InvalidArgumentError("WAL batch payload truncated");
-        }
-        image.members.reserve(member_count);
-        for (uint32_t i = 0; i < member_count; ++i) {
-          uint32_t member = 0;
-          if (!reader.TakeU32(&member)) {
-            return util::InvalidArgumentError(
-                "WAL batch member list truncated");
-          }
-          image.members.push_back(member);
-        }
-        uint64_t connectivity_bits = 0;
-        uint8_t valid = 0;
-        if (!reader.TakeU64(&connectivity_bits) || !reader.TakeU8(&valid)) {
-          return util::InvalidArgumentError("WAL batch payload truncated");
-        }
-        image.connectivity = util::DoubleFromBits(connectivity_bits);
-        image.valid = valid != 0;
-        record.clusters.push_back(std::move(image));
-      }
-      break;
-    }
     case static_cast<uint8_t>(WalRecordType::kShardRegisterBatch): {
       record.type = WalRecordType::kShardRegisterBatch;
       uint32_t cluster_count = 0;
@@ -211,37 +76,22 @@ util::Result<WalRecord> DecodeWalRecord(const std::string& payload) {
         return util::InvalidArgumentError(
             "WAL shard batch payload truncated");
       }
-      record.clusters.reserve(cluster_count);
+      record.clusters.reserve(
+          std::min<size_t>(cluster_count, reader.remaining() / codec::kMinClusterBytes));
       for (uint32_t c = 0; c < cluster_count; ++c) {
         WalClusterImage image;
-        uint32_t member_count = 0;
-        if (!reader.TakeU32(&member_count)) {
+        if (!reader.TakeCluster(&image.members, &image.connectivity,
+                                &image.valid)) {
           return util::InvalidArgumentError(
               "WAL shard batch payload truncated");
         }
-        image.members.reserve(member_count);
-        for (uint32_t i = 0; i < member_count; ++i) {
-          uint32_t member = 0;
-          if (!reader.TakeU32(&member)) {
-            return util::InvalidArgumentError(
-                "WAL shard batch member list truncated");
-          }
-          image.members.push_back(member);
-        }
-        uint64_t connectivity_bits = 0;
-        uint8_t valid = 0;
-        if (!reader.TakeU64(&connectivity_bits) || !reader.TakeU8(&valid)) {
-          return util::InvalidArgumentError(
-              "WAL shard batch payload truncated");
-        }
-        image.connectivity = util::DoubleFromBits(connectivity_bits);
-        image.valid = valid != 0;
         record.clusters.push_back(std::move(image));
       }
       break;
     }
     default:
-      return util::InvalidArgumentError("unknown WAL record type");
+      return util::InvalidArgumentError("unknown WAL record type " +
+                                        std::to_string(type));
   }
   if (reader.pos != payload.size()) {
     return util::InvalidArgumentError("trailing bytes in WAL payload");
@@ -298,31 +148,14 @@ uint64_t WalWriter::records_appended() const {
 
 namespace {
 
-util::Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return util::NotFoundError("cannot open file: " + path);
-  }
-  std::string contents;
-  char buffer[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    contents.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return util::UnavailableError("read error on file: " + path);
-  }
-  return contents;
-}
-
 // Scans the framed log in `bytes`; intact records go to `result`, and the
-// offset of the first torn/corrupt frame comes back in `valid_bytes`.
-void ScanWal(const std::string& bytes, WalReadResult* result,
-             size_t* valid_bytes) {
-  Reader reader{reinterpret_cast<const unsigned char*>(bytes.data()),
-                bytes.size()};
+// offset of the first torn frame comes back in `valid_bytes`. A frame that
+// is short or fails its checksum is a torn tail: everything from it on is
+// reported as torn. A checksum-valid frame that does not decode is an
+// error -- a torn append cannot produce a valid checksum.
+util::Status ScanWal(const std::string& path, const std::string& bytes,
+                     WalReadResult* result, size_t* valid_bytes) {
+  codec::Reader reader(bytes.data(), bytes.size());
   *valid_bytes = 0;
   while (true) {
     const size_t frame_start = reader.pos;
@@ -331,24 +164,25 @@ void ScanWal(const std::string& bytes, WalReadResult* result,
     if (!reader.TakeU32(&payload_len) || !reader.TakeU64(&checksum) ||
         payload_len > kMaxPayloadBytes ||
         reader.pos + payload_len > reader.size) {
-      reader.pos = frame_start;
       break;
     }
     const std::string payload = bytes.substr(reader.pos, payload_len);
     reader.pos += payload_len;
     if (util::FnvHashBytes(payload.data(), payload.size()) != checksum) {
-      reader.pos = frame_start;
       break;
     }
     auto record = DecodeWalRecord(payload);
     if (!record.ok()) {
-      reader.pos = frame_start;
-      break;
+      return util::InvalidArgumentError(
+          "WAL frame at byte " + std::to_string(frame_start) + " of " +
+          path + " has a valid checksum but does not decode (" +
+          record.status().message() + ")");
     }
     result->records.push_back(std::move(record).value());
     *valid_bytes = reader.pos;
   }
   result->torn_bytes = bytes.size() - *valid_bytes;
+  return util::Status();
 }
 
 }  // namespace
@@ -356,20 +190,24 @@ void ScanWal(const std::string& bytes, WalReadResult* result,
 util::Result<WalReadResult> ReadWal(const std::string& path) {
   WalReadResult result;
   if (!std::filesystem::exists(path)) return result;  // empty log
-  auto contents = ReadWholeFile(path);
+  auto contents = codec::ReadWholeFile(path);
   if (!contents.ok()) return contents.status();
   size_t valid_bytes = 0;
-  ScanWal(contents.value(), &result, &valid_bytes);
+  const util::Status scanned =
+      ScanWal(path, contents.value(), &result, &valid_bytes);
+  if (!scanned.ok()) return scanned;
   return result;
 }
 
 util::Result<uint64_t> TruncateTornTail(const std::string& path) {
   if (!std::filesystem::exists(path)) return uint64_t{0};
-  auto contents = ReadWholeFile(path);
+  auto contents = codec::ReadWholeFile(path);
   if (!contents.ok()) return contents.status();
   WalReadResult scanned;
   size_t valid_bytes = 0;
-  ScanWal(contents.value(), &scanned, &valid_bytes);
+  const util::Status status =
+      ScanWal(path, contents.value(), &scanned, &valid_bytes);
+  if (!status.ok()) return status;
   if (scanned.torn_bytes == 0) return uint64_t{0};
   std::error_code error;
   std::filesystem::resize_file(path, valid_bytes, error);

@@ -2,47 +2,47 @@
 //
 // The anonymizer's only durable state is the cluster registry: which users
 // are clustered together and which cloaked region each cluster published.
-// Both mutations (Register, SetRegion) are logged here *before* they are
-// applied in memory, so a crash at any instant leaves the log holding a
-// prefix of the committed history -- recovery replays that prefix and
-// nothing else.
+// Both mutations (register a commit's clusters, set a region) are logged
+// here *before* they are applied in memory, so a crash at any instant
+// leaves the log holding a prefix of the committed history -- recovery
+// replays that prefix and nothing else.
 //
 // On-disk framing, all integers little-endian:
 //
 //   record  := [u32 payload_len][u64 fnv1a(payload)][payload]
 //   payload := [u64 lsn][u8 type][body]
-//   body    := kRegister:      [u32 n][n x u32 member]
-//              [u64 connectivity_bits][u8 valid]
-//              kSetRegion:     [u32 cluster_id][4 x u64 rect coordinate
-//              bits]
-//              kRegisterBatch: [u32 cluster_count] then per cluster
-//              [u32 n][n x u32 member][u64 connectivity_bits][u8 valid]
-//              kShardRegisterBatch: [u32 first_cluster_id]
-//              [u32 cluster_count] then per cluster the kRegisterBatch
-//              cluster image; cluster c of the batch has global id
-//              first_cluster_id + c
+//   body    := kShardRegisterBatch: [u32 first_cluster_id]
+//              [u32 cluster_count] then per cluster
+//              [u32 n][n x u32 member][u64 connectivity_bits][u8 valid];
+//              cluster c of the batch has global id first_cluster_id + c
+//              kSetRegion: [u32 cluster_id][4 x u64 rect coordinate bits]
+//
+// Type bytes 1 and 3 are retired and never decode.
 //
 // Appends are serialized on an internal mutex, so a crash can tear at most
 // the final record; ReadWal stops at the first length/checksum mismatch and
 // reports the torn byte count, and TruncateTornTail cuts the file back to
 // its valid prefix so a reopened writer appends after intact records only.
+// A frame whose checksum verifies but whose payload does not decode cannot
+// come from a torn append: both calls report it as an error and leave the
+// file untouched, so no later commit is ever truncated away behind it.
 //
-// kRegisterBatch exists for atomicity, not compactness: one commit of the
-// service driver's turnstile may register several clusters at once, and a
-// crash tearing the middle of that group must hide the *whole* commit --
-// replaying a partial group would leave the host's cluster present but its
-// siblings missing, and a resumed workload would rebuild them differently.
-// Batching the group into a single checksummed record makes the torn-tail
-// rule ("at most the final record is lost") coincide with commit atomicity.
+// The service runs one log per spatial shard (durability/shard_layout.h).
+// A stream sees only the commits its shard coordinated, so replay cannot
+// infer global cluster ids from stream position -- kShardRegisterBatch
+// carries the batch's first global id explicitly. One batch record holds
+// ALL clusters of one turnstile commit: a crash tearing the middle of that
+// group must hide the whole commit, because replaying a partial group would
+// leave the host's cluster present but its siblings missing, and a resumed
+// workload would rebuild them differently. Batching the group into a
+// single checksummed record makes the torn-tail rule ("at most the final
+// record is lost") coincide with commit atomicity. kSetRegion records
+// always follow their cluster's batch in the same stream, so each shard's
+// slice replays from its own files alone.
 //
-// kShardRegisterBatch is the sharded-service variant: with K WAL streams
-// (one per shard) a stream sees only the commits its shard coordinated, so
-// replay cannot infer global cluster ids from stream position -- the
-// record carries the batch's first global id explicitly. One commit still
-// lands in exactly ONE stream (the coordinating shard's), preserving the
-// torn-tail-equals-commit-atomicity property per stream; per-stream
-// kSetRegion records always follow their cluster's batch in the same
-// stream, so each shard's slice replays from its own files alone.
+// Durability level: each append is fflush()ed, never fsync()ed. A record
+// survives a process kill (the crash model the tests exercise), not a power
+// loss or kernel crash.
 
 #ifndef NELA_DURABILITY_WAL_H_
 #define NELA_DURABILITY_WAL_H_
@@ -63,13 +63,11 @@
 namespace nela::durability {
 
 enum class WalRecordType : uint8_t {
-  kRegister = 1,
   kSetRegion = 2,
-  kRegisterBatch = 3,
   kShardRegisterBatch = 4,
 };
 
-// One cluster inside a kRegisterBatch record.
+// One cluster inside a kShardRegisterBatch record.
 struct WalClusterImage {
   std::vector<graph::VertexId> members;
   double connectivity = 0.0;
@@ -78,20 +76,15 @@ struct WalClusterImage {
 
 struct WalRecord {
   uint64_t lsn = 0;
-  WalRecordType type = WalRecordType::kRegister;
-  // kRegister fields.
-  std::vector<graph::VertexId> members;
-  double connectivity = 0.0;
-  bool valid = true;
+  WalRecordType type = WalRecordType::kShardRegisterBatch;
+  // kShardRegisterBatch fields: the clusters of one atomic commit, in
+  // registration order; clusters[0] has global id first_cluster_id and the
+  // rest follow consecutively.
+  cluster::ClusterId first_cluster_id = 0;
+  std::vector<WalClusterImage> clusters;
   // kSetRegion fields.
   cluster::ClusterId cluster_id = 0;
   geo::Rect region;
-  // kRegisterBatch / kShardRegisterBatch fields: the clusters of one
-  // atomic commit, in registration order.
-  std::vector<WalClusterImage> clusters;
-  // kShardRegisterBatch only: the global cluster id of clusters[0]; the
-  // rest of the batch follows consecutively.
-  cluster::ClusterId first_cluster_id = 0;
 };
 
 // Serializes the payload (without the [len][checksum] frame).
@@ -126,7 +119,7 @@ class WalWriter {
   uint64_t records_appended() const EXCLUDES(mu_);
 
   // Names the WAL lock so owners can declare ordering against it
-  // (durability::DurableRegistry::mu_ is ACQUIRED_BEFORE this lock).
+  // (durability::ShardedDurableRegistry::mu_ precedes every stream's lock).
   util::Mutex& mu() const RETURN_CAPABILITY(mu_) { return mu_; }
 
  private:
@@ -146,13 +139,16 @@ struct WalReadResult {
   uint64_t torn_bytes = 0;
 };
 
-// Reads every intact record from `path`. A torn or corrupt tail is normal
-// after a crash and is reported, not treated as an error; a missing file
-// reads as an empty log.
+// Reads every intact record from `path`. A torn tail (short frame or
+// checksum mismatch) is normal after a crash and is reported, not treated
+// as an error; a missing file reads as an empty log. A checksum-valid frame
+// that does not decode is an error.
 util::Result<WalReadResult> ReadWal(const std::string& path);
 
 // Truncates `path` back to its longest valid record prefix. Returns the
 // number of bytes removed (0 when the log was already intact or missing).
+// Fails, leaving the file byte-identical, on a checksum-valid frame that
+// does not decode.
 util::Result<uint64_t> TruncateTornTail(const std::string& path);
 
 }  // namespace nela::durability

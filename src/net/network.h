@@ -155,12 +155,12 @@ struct RetryStats {
 };
 
 // Thread safety: every counter mutation and liveness transition happens
-// under one internal mutex, so concurrent requests (sim::BatchDriver
-// workers) may share a Network. Determinism caveat: with a loss/latency
-// process installed, the *order* in which concurrent senders draw from the
-// fault RNG depends on scheduling -- per-run bit-identical fault injection
-// therefore requires a single in-flight request (all current chaos drivers
-// are single-threaded). On a fault-free network the counters are pure sums
+// under one internal mutex, so concurrent requests
+// (sim::ShardedServiceDriver workers) may share a Network. Determinism
+// caveat: with a loss/latency process installed, the *order* in which
+// concurrent senders draw from the fault RNG depends on scheduling --
+// per-run bit-identical fault injection therefore requires a single
+// in-flight request (all current chaos drivers are single-threaded). On a fault-free network the counters are pure sums
 // and every interleaving yields identical totals.
 class Network {
  public:

@@ -2,7 +2,7 @@
 // parallelism.
 //
 // The pool is a low-level primitive shared by the parallel WPG builder and
-// the batch driver: callers dispatch one task per worker and block until
+// the service driver: callers dispatch one task per worker and block until
 // every invocation returns. Worker 0 is the thread that calls
 // RunOnAllThreads / ParallelFor, so a 1-thread pool spawns nothing and runs
 // inline, and dispatch cost is one notify + countdown — cheap enough to
@@ -84,7 +84,7 @@ class ThreadPool {
   // Invokes task(worker) once for every worker index in
   // [0, thread_count()), concurrently, and blocks until all invocations
   // return. All workers are live simultaneously, so tasks may synchronize
-  // with each other (the batch driver's commit turnstile relies on this).
+  // with each other (the service driver's commit turnstile relies on this).
   // Tasks must not throw and must not dispatch on the same pool.
   void RunOnAllThreads(const std::function<void(uint32_t worker)>& task);
 

@@ -1,12 +1,15 @@
 // Tests for the concurrency controller (§VII future work): claim
-// atomicity, wound-wait conflict resolution, and end-to-end serialization
-// of simultaneous cloaking requests without deadlock or reciprocity
-// violations.
+// atomicity, wound-wait conflict resolution, real-thread contention
+// resolving without deadlock or double ownership, and end-to-end
+// serialization of simultaneous cloaking requests through the service
+// driver (the production concurrent executor) without deadlock or
+// reciprocity violations.
 
 #include <atomic>
 #include <condition_variable>
+#include <map>
+#include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -14,10 +17,16 @@
 
 #include "cluster/concurrency.h"
 #include "cluster/distributed_tconn.h"
-#include "data/generators.h"
-#include "graph/wpg_builder.h"
+#include "cluster/registry.h"
+#include "core/cloaking_engine.h"
+#include "core/policy_factory.h"
+#include "geo/rect.h"
+#include "net/network.h"
 #include "scenario_fixtures.h"
+#include "sim/sharded_service_driver.h"
+#include "sim/workload.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace nela::cluster {
 namespace {
@@ -79,7 +88,7 @@ TEST(ClaimCoordinatorTest, ReclaimBySameTicketIsIdempotent) {
 }
 
 // Batched contention with REAL threads: N workers race overlapping claims
-// through the coordinator, then commit in ticket order (the batch driver's
+// through the coordinator, then commit in ticket order (the service driver's
 // turnstile discipline). Must hold:
 //  * reciprocity -- no user is committed by two tickets;
 //  * liveness    -- the oldest ticket commits its full candidate without
@@ -147,7 +156,7 @@ TEST(ClaimCoordinatorTest, BatchedContentionPreservesReciprocity) {
       } else if (committed_owner[v] == ticket) {
         double_commit.store(true);  // same ticket committing twice
       }
-      // Owned by an older ticket: dropped, exactly as the batch driver
+      // Owned by an older ticket: dropped, exactly as the service driver
       // drops users already registered in a committed cluster.
     }
     coordinator.Release(ticket);
@@ -187,7 +196,12 @@ TEST(ClaimCoordinatorTest, BatchedContentionPreservesReciprocity) {
   EXPECT_EQ(committed_owner, expected);
 }
 
-// ----------------------------------------------- ConcurrentCloakingSession
+// ------------------------------------------- Concurrent cloaking sessions
+//
+// Simultaneous cloaking requests served by sim::ShardedServiceDriver at
+// K=1 with several worker threads: speculation races for claims, the
+// turnstile commits in arrival order, and the outcome must be the serial
+// one.
 
 using World = fixtures::SmallWorld;
 
@@ -197,114 +211,204 @@ World MakeWorld(uint64_t seed, uint32_t users) {
   return fixtures::MakeWorld(seed, users, /*delta=*/0.1);
 }
 
+sim::ServiceConfig SessionConfig(uint32_t k, uint32_t requests,
+                                 uint32_t threads) {
+  sim::ServiceConfig config;
+  config.k = k;
+  config.requests = requests;
+  config.threads = threads;
+  config.master_seed = 5;
+  config.workload_seed = 29;
+  return config;
+}
+
+util::Result<sim::ServiceResult> RunSession(const World& world,
+                                            const sim::ServiceConfig& config) {
+  sim::ShardedServiceConfig single_shard;
+  single_shard.service = config;
+  sim::ShardedServiceDriver driver(
+      world.dataset, world.graph,
+      core::MakeSecurePolicyFactory(fixtures::SmallWorldBounding()),
+      single_shard);
+  auto result = driver.Run();
+  if (!result.ok()) return result.status();
+  return std::move(result).value().service;
+}
+
+sim::ServiceResult MustRunSession(const World& world,
+                                  const sim::ServiceConfig& config) {
+  auto result = RunSession(world, config);
+  NELA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+// Index of the request issued by `host`, or records.size() when none.
+size_t RecordOf(const sim::ServiceResult& result, VertexId host) {
+  for (size_t i = 0; i < result.records.size(); ++i) {
+    if (result.records[i].host == host) return i;
+  }
+  return result.records.size();
+}
+
+// Serialization witness: the concurrent run commits exactly the registry
+// and outcomes of a single-worker run of the same workload.
+void ExpectSerialEquivalent(const World& world, sim::ServiceConfig config,
+                            const sim::ServiceResult& concurrent) {
+  config.threads = 1;
+  const sim::ServiceResult serial = MustRunSession(world, config);
+  EXPECT_EQ(concurrent.registry_digest, serial.registry_digest);
+  EXPECT_EQ(concurrent.outcome_digest, serial.outcome_digest);
+  EXPECT_EQ(concurrent.clusters_formed, serial.clusters_formed);
+}
+
 TEST(ConcurrentCloakingTest, NeighborsRequestingSimultaneously) {
-  // Hosts picked adjacent to each other so their candidates overlap: the
-  // classic conflict the paper's future work worries about.
+  // Every user requests at once, so host 0 and its graph neighbors race
+  // for overlapping candidates: the classic conflict the paper's future
+  // work worries about.
   World world = MakeWorld(3, 300);
-  Registry registry(world.dataset.size());
-  ConcurrentCloakingSession session(world.graph, 5, &registry);
-  // Host 0 and two of its graph neighbors.
+  const sim::ServiceConfig config = SessionConfig(5, 300, 8);
+  const sim::ServiceResult result = MustRunSession(world, config);
+  EXPECT_EQ(result.admitted, 300u);
+  // Clusters are disjoint (reciprocity preserved under concurrency).
+  EXPECT_TRUE(result.reciprocity_ok);
   std::vector<VertexId> hosts = {0};
   for (const auto& edge : world.graph.Neighbors(0)) {
     hosts.push_back(edge.to);
     if (hosts.size() == 3) break;
   }
   ASSERT_GE(hosts.size(), 2u);
-  auto outcomes = session.RunAll(hosts);
-  ASSERT_TRUE(outcomes.ok());
-  // Every host ends in exactly one cluster, and clusters are disjoint by
-  // registry construction (reciprocity preserved under concurrency).
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    EXPECT_NE(outcomes.value()[i].cluster_id, kNoCluster);
-    EXPECT_TRUE(registry.IsClustered(hosts[i]));
+  // Each of the neighbors ends in exactly one cluster, and neighbors that
+  // share a cluster are served its one region.
+  for (VertexId host : hosts) {
+    const size_t i = RecordOf(result, host);
+    ASSERT_LT(i, result.records.size()) << "host " << host;
+    const core::CloakingOutcome& outcome = result.records[i].outcome;
+    EXPECT_NE(outcome.cluster_id, kNoCluster) << "host " << host;
+    EXPECT_TRUE(outcome.anonymity_satisfied) << "host " << host;
+    for (VertexId other : hosts) {
+      const core::CloakingOutcome& peer =
+          result.records[RecordOf(result, other)].outcome;
+      if (peer.cluster_id == outcome.cluster_id) {
+        EXPECT_EQ(peer.region, outcome.region) << host << " vs " << other;
+      }
+    }
   }
+  ExpectSerialEquivalent(world, config, result);
 }
 
 TEST(ConcurrentCloakingTest, ManyConcurrentHostsSerializeWithoutDeadlock) {
   World world = MakeWorld(7, 500);
-  Registry registry(world.dataset.size());
-  ConcurrentCloakingSession session(world.graph, 5, &registry);
-  util::Rng rng(11);
-  std::vector<VertexId> hosts;
-  for (uint32_t id : rng.SampleWithoutReplacement(500, 40)) {
-    hosts.push_back(id);
+  const sim::ServiceConfig config = SessionConfig(5, 40, 8);
+  const sim::ServiceResult result = MustRunSession(world, config);
+  ASSERT_EQ(result.records.size(), 40u);
+  EXPECT_EQ(result.admitted, 40u);
+  for (const sim::ServiceRequestRecord& record : result.records) {
+    EXPECT_NE(record.outcome.cluster_id, kNoCluster) << record.ordinal;
   }
-  auto outcomes = session.RunAll(hosts);
-  ASSERT_TRUE(outcomes.ok());
-  ASSERT_EQ(outcomes.value().size(), hosts.size());
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    EXPECT_NE(outcomes.value()[i].cluster_id, kNoCluster) << i;
-  }
-  // Reciprocity: no user is in two clusters (Register enforces it; the
-  // session must never have tripped that error to get here). Spot-check
-  // membership consistency:
-  std::set<VertexId> seen;
-  for (ClusterId id = 0; id < registry.cluster_count(); ++id) {
-    for (VertexId v : registry.info(id).members) {
-      EXPECT_TRUE(seen.insert(v).second) << "user in two clusters";
-    }
-  }
+  // Reciprocity: no user is in two clusters (the driver's final registry
+  // check; Register would also have failed the run).
+  EXPECT_TRUE(result.reciprocity_ok);
+  EXPECT_GT(result.clusters_formed, 0u);
+  ExpectSerialEquivalent(world, config, result);
 }
 
 TEST(ConcurrentCloakingTest, ContentionIsObservedAndResolved) {
-  // A dense clique-ish neighborhood with many simultaneous hosts must
-  // produce real conflicts/wounds, and still terminate with everyone
-  // served.
+  // A dense neighborhood in which every user requests at once must see
+  // requests whose hosts an earlier, concurrently running request swept
+  // into its cluster -- the contention -- and must resolve each of them
+  // to that cluster, with everyone served and the serial result. (The
+  // claim-conflict counters depend on scheduling and are not asserted.)
   World world = MakeWorld(13, 200);
-  Registry registry(world.dataset.size());
-  ConcurrentCloakingSession session(world.graph, 8, &registry);
-  std::vector<VertexId> hosts;
-  for (VertexId v = 0; v < 24; ++v) hosts.push_back(v);
-  auto outcomes = session.RunAll(hosts);
-  ASSERT_TRUE(outcomes.ok());
-  uint32_t total_retries = 0;
-  for (const auto& outcome : outcomes.value()) {
-    EXPECT_NE(outcome.cluster_id, kNoCluster);
-    total_retries += outcome.retries;
+  const sim::ServiceConfig config = SessionConfig(8, 200, 8);
+  const sim::ServiceResult result = MustRunSession(world, config);
+  EXPECT_EQ(result.admitted, 200u);
+  EXPECT_TRUE(result.reciprocity_ok);
+  std::map<ClusterId, uint64_t> first_ordinal;
+  uint32_t resolved_to_earlier = 0;
+  for (const sim::ServiceRequestRecord& record : result.records) {
+    const core::CloakingOutcome& outcome = record.outcome;
+    if (!outcome.anonymity_satisfied) continue;
+    ASSERT_NE(outcome.cluster_id, kNoCluster) << record.ordinal;
+    auto [it, formed_here] =
+        first_ordinal.emplace(outcome.cluster_id, record.ordinal);
+    if (!formed_here) {
+      EXPECT_TRUE(outcome.cluster_reused || outcome.region_reused)
+          << record.ordinal;
+      EXPECT_LT(it->second, record.ordinal);
+      ++resolved_to_earlier;
+    }
   }
-  // With 24 overlapping requests some contention must have occurred.
-  EXPECT_GT(session.coordinator().conflicts_observed() + total_retries, 0u);
+  EXPECT_GT(resolved_to_earlier, 0u);
+  ExpectSerialEquivalent(world, config, result);
 }
 
 TEST(ConcurrentCloakingTest, DuplicateHostsShareOneCluster) {
+  // Requests from several members of one cluster all resolve to that
+  // cluster and are served its single published region.
   World world = MakeWorld(17, 200);
-  Registry registry(world.dataset.size());
-  ConcurrentCloakingSession session(world.graph, 5, &registry);
-  auto outcomes = session.RunAll({42, 42, 42});
-  ASSERT_TRUE(outcomes.ok());
-  const ClusterId id = outcomes.value()[0].cluster_id;
-  EXPECT_EQ(outcomes.value()[1].cluster_id, id);
-  EXPECT_EQ(outcomes.value()[2].cluster_id, id);
+  const sim::ServiceConfig config = SessionConfig(5, 200, 4);
+  const sim::ServiceResult result = MustRunSession(world, config);
+  std::map<ClusterId, std::vector<size_t>> requests_of;
+  for (size_t i = 0; i < result.records.size(); ++i) {
+    const core::CloakingOutcome& outcome = result.records[i].outcome;
+    if (outcome.anonymity_satisfied) {
+      requests_of[outcome.cluster_id].push_back(i);
+    }
+  }
+  uint32_t shared = 0;
+  for (const auto& [id, indices] : requests_of) {
+    if (indices.size() < 2) continue;
+    ++shared;
+    const geo::Rect& region = result.records[indices[0]].outcome.region;
+    for (size_t i : indices) {
+      EXPECT_EQ(result.records[i].outcome.region, region) << "cluster " << id;
+    }
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 TEST(ConcurrentCloakingTest, RejectsBadHost) {
+  // A workload naming more hosts than the population holds cannot be
+  // served.
   World world = MakeWorld(19, 100);
-  Registry registry(world.dataset.size());
-  ConcurrentCloakingSession session(world.graph, 5, &registry);
-  EXPECT_FALSE(session.RunAll({1000}).ok());
+  EXPECT_FALSE(RunSession(world, SessionConfig(5, 101, 4)).ok());
 }
 
 TEST(ConcurrentCloakingTest, MatchesSequentialResultWhenDisjoint) {
-  // Hosts far apart never conflict; the concurrent session must produce
-  // exactly the clusters a sequential run produces.
+  // Hosts far apart never share a cluster; the concurrent session must
+  // produce exactly the clusters and regions a sequential run produces.
   World world = MakeWorld(23, 400);
-  std::vector<VertexId> hosts = {1, 399};
-
-  Registry concurrent_registry(world.dataset.size());
-  ConcurrentCloakingSession session(world.graph, 5, &concurrent_registry);
-  auto outcomes = session.RunAll(hosts);
-  ASSERT_TRUE(outcomes.ok());
-
-  Registry sequential_registry(world.dataset.size());
-  DistributedTConnClusterer clusterer(world.graph, 5, &sequential_registry);
-  for (VertexId host : hosts) {
-    ASSERT_TRUE(clusterer.ClusterFor(host).ok());
+  sim::ServiceConfig config = SessionConfig(5, 2, 2);
+  config.workload_seed = 41;  // draws two hosts far apart
+  const sim::ServiceResult result = MustRunSession(world, config);
+  ASSERT_EQ(result.records.size(), 2u);
+  // Disjointness: each request formed its own cluster.
+  ASSERT_NE(result.records[0].outcome.cluster_id,
+            result.records[1].outcome.cluster_id);
+  for (const sim::ServiceRequestRecord& record : result.records) {
+    ASSERT_FALSE(record.outcome.cluster_reused ||
+                 record.outcome.region_reused);
   }
+
+  util::Rng workload_rng(config.workload_seed);
+  const std::vector<data::UserId> hosts =
+      sim::SampleWorkload(world.dataset.size(), config.requests, workload_rng);
+  Registry registry(world.dataset.size());
+  net::Network network(world.dataset.size());
+  core::CloakingEngine engine(
+      world.dataset,
+      std::make_unique<DistributedTConnClusterer>(world.graph, config.k,
+                                                  &registry),
+      &registry, core::MakeSecurePolicyFactory(fixtures::SmallWorldBounding()),
+      core::BoundingMode::kSecureProtocol, &network);
+  engine.set_master_seed(config.master_seed);
   for (size_t i = 0; i < hosts.size(); ++i) {
-    EXPECT_EQ(
-        concurrent_registry.info(outcomes.value()[i].cluster_id).members,
-        sequential_registry.info(sequential_registry.ClusterOf(hosts[i]))
-            .members);
+    const core::CloakingOutcome& concurrent = result.records[i].outcome;
+    ASSERT_EQ(result.records[i].host, hosts[i]);
+    auto sequential = engine.RequestCloaking(hosts[i]);
+    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+    EXPECT_EQ(sequential.value().cluster_id, concurrent.cluster_id);
+    EXPECT_EQ(sequential.value().region, concurrent.region);
   }
 }
 

@@ -29,7 +29,7 @@
 #include "net/retry.h"
 #include "scenario_fixtures.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
+#include "sim/sharded_service_driver.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -187,14 +187,18 @@ const sim::Scenario& ServiceScenario() {
   return scenario;
 }
 
-sim::ServiceResult RunService(const sim::ServiceConfig& config) {
+sim::ServiceResult RunService(const sim::ServiceConfig& config,
+                              const std::string& durability_dir = "") {
   const sim::Scenario& scenario = ServiceScenario();
-  sim::ServiceDriver driver(scenario.dataset, scenario.graph,
-                            MakeSecurePolicyFactory(BoundingParams{}),
-                            config);
+  sim::ShardedServiceConfig single_shard;
+  single_shard.service = config;
+  single_shard.durability_dir = durability_dir;
+  sim::ShardedServiceDriver driver(scenario.dataset, scenario.graph,
+                                   MakeSecurePolicyFactory(BoundingParams{}),
+                                   single_shard);
   auto result = driver.Run();
   NELA_CHECK(result.ok());
-  return std::move(result).value();
+  return std::move(result).value().service;
 }
 
 CaseResult FirstRecordWhere(
@@ -246,10 +250,9 @@ CaseResult CrashAbort() {
   config.k = 5;
   config.requests = 64;
   config.threads = 2;
-  config.wal_path = dir + "/wal.log";
   config.fault_plan.process_crashes.push_back(
       net::ProcessCrashEvent{net::ProcessCrashPoint::kPostCommit, 2});
-  const sim::ServiceResult result = RunService(config);
+  const sim::ServiceResult result = RunService(config, dir);
   NELA_CHECK(result.crashed);
   return FirstRecordWhere(result, [](const sim::ServiceRequestRecord& r) {
     return r.aborted_by_crash;

@@ -1,7 +1,10 @@
-// Tests for the crash-durable service driver: bit-identical results with
-// the batch facade in closed-batch mode, deterministic load shedding under
-// sustained overload (structured, non-exposing, audited by the adversary
-// observer), and the watchdog's rescue of a stalled worker.
+// Tests for the service driver at K=1 (sharding-specific behavior lives in
+// sharded_service_driver_test): bit-identical registry state and
+// per-request traces across worker-thread counts, repeatability, agreement
+// with the sequential engine, per-request traffic accounting,
+// deterministic load shedding under sustained overload (structured,
+// non-exposing, audited by the adversary observer), and the watchdog's
+// rescue of a stalled worker.
 
 #include <memory>
 #include <string>
@@ -11,11 +14,16 @@
 
 #include "audit/observer.h"
 #include "audit/taint.h"
+#include "cluster/distributed_tconn.h"
+#include "cluster/registry.h"
+#include "core/cloaking_engine.h"
 #include "core/policy_factory.h"
 #include "geo/rect.h"
-#include "sim/batch_driver.h"
+#include "net/network.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
+#include "sim/sharded_service_driver.h"
+#include "sim/workload.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace nela::sim {
@@ -54,34 +62,29 @@ std::string ConcatTraces(const std::vector<ServiceRequestRecord>& records) {
   return all;
 }
 
-ServiceResult MustRun(const ServiceConfig& config) {
+util::Result<ServiceResult> RunConfig(const ServiceConfig& config) {
   const Scenario& scenario = SharedScenario();
   const core::BoundingParams params;
-  ServiceDriver driver(scenario.dataset, scenario.graph,
-                       core::MakeSecurePolicyFactory(params), config);
+  ShardedServiceConfig single_shard;
+  single_shard.service = config;
+  ShardedServiceDriver driver(scenario.dataset, scenario.graph,
+                              core::MakeSecurePolicyFactory(params),
+                              single_shard);
   auto result = driver.Run();
+  if (!result.ok()) return result.status();
+  return std::move(result).value().service;
+}
+
+ServiceResult MustRun(const ServiceConfig& config) {
+  auto result = RunConfig(config);
   NELA_CHECK(result.ok());
   return std::move(result).value();
 }
 
-// With the queue model, durability, chaos, and the watchdog all off, the
-// service driver is the batch driver: same digest, same traces, at every
-// thread count -- and the BatchDriver facade maps its result faithfully.
-TEST(ServiceDriverTest, ClosedBatchMatchesBatchDriverBitForBit) {
-  const Scenario& scenario = SharedScenario();
-  const core::BoundingParams params;
-
-  BatchConfig batch_config;
-  batch_config.k = 5;
-  batch_config.requests = 256;
-  batch_config.threads = 4;
-  batch_config.master_seed = 99;
-  batch_config.workload_seed = 17;
-  BatchDriver batch(scenario.dataset, scenario.graph,
-                    core::MakeSecurePolicyFactory(params), batch_config);
-  auto batch_result = batch.Run();
-  ASSERT_TRUE(batch_result.ok()) << batch_result.status().ToString();
-
+// The acceptance criterion of the execution model: an S=256 closed batch
+// over the same seed produces bit-identical registry state, per-request
+// traces, and outcomes whether executed by 1, 4, or 8 worker threads.
+TEST(ServiceDriverTest, BitIdenticalRegistryAndTracesAcrossThreadCounts) {
   std::vector<ServiceResult> results;
   for (uint32_t threads : {1u, 4u, 8u}) {
     results.push_back(MustRun(ClosedBatchConfig(threads)));
@@ -93,26 +96,120 @@ TEST(ServiceDriverTest, ClosedBatchMatchesBatchDriverBitForBit) {
   EXPECT_EQ(baseline.shed_queue_overflow, 0u);
   EXPECT_EQ(baseline.shed_deadline, 0u);
   EXPECT_TRUE(baseline.reciprocity_ok);
-  EXPECT_EQ(baseline.registry_digest,
-            batch_result.value().registry_digest);
+  EXPECT_GT(baseline.clusters_formed, 0u);
 
   const std::string baseline_traces = ConcatTraces(baseline.records);
   for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(baseline.registry_digest, results[i].registry_digest)
+    const ServiceResult& other = results[i];
+    EXPECT_EQ(baseline.registry_digest, other.registry_digest)
         << "digest diverged at thread config " << i;
-    EXPECT_EQ(baseline_traces, ConcatTraces(results[i].records))
+    EXPECT_EQ(baseline_traces, ConcatTraces(other.records))
         << "traces diverged at thread config " << i;
+    EXPECT_EQ(baseline.clusters_formed, other.clusters_formed);
+    EXPECT_TRUE(other.reciprocity_ok);
+    ASSERT_EQ(baseline.records.size(), other.records.size());
+    for (size_t r = 0; r < baseline.records.size(); ++r) {
+      const core::CloakingOutcome& a = baseline.records[r].outcome;
+      const core::CloakingOutcome& b = other.records[r].outcome;
+      EXPECT_EQ(a.cluster_id, b.cluster_id) << "request " << r;
+      EXPECT_EQ(a.region, b.region) << "request " << r;
+      EXPECT_EQ(a.region_reused, b.region_reused) << "request " << r;
+      EXPECT_EQ(a.cluster_reused, b.cluster_reused) << "request " << r;
+      EXPECT_EQ(a.anonymity_satisfied, b.anonymity_satisfied)
+          << "request " << r;
+      EXPECT_EQ(a.clustering_messages, b.clustering_messages)
+          << "request " << r;
+      EXPECT_EQ(a.bounding_iterations, b.bounding_iterations)
+          << "request " << r;
+      EXPECT_EQ(a.bounding_verifications, b.bounding_verifications)
+          << "request " << r;
+    }
   }
+}
 
-  // The facade's records must be the service driver's, field for field.
-  ASSERT_EQ(batch_result.value().records.size(), results[1].records.size());
-  for (size_t r = 0; r < results[1].records.size(); ++r) {
-    const BatchRequestRecord& from_batch = batch_result.value().records[r];
-    const ServiceRequestRecord& from_service = results[1].records[r];
-    EXPECT_EQ(from_batch.host, from_service.host);
-    EXPECT_EQ(from_batch.trace, from_service.trace);
-    EXPECT_EQ(from_batch.outcome.region, from_service.outcome.region);
+// Repeating the same config must reproduce the digest exactly (fresh state
+// per Run). The master seed does feed the registry -- hypothesis origins
+// randomize from each request's private sub-stream, so region bit patterns
+// are a function of it -- but a fixed config must reproduce them exactly.
+TEST(ServiceDriverTest, RunIsRepeatable) {
+  const ServiceResult first = MustRun(ClosedBatchConfig(4));
+  const ServiceResult second = MustRun(ClosedBatchConfig(4));
+  EXPECT_EQ(first.registry_digest, second.registry_digest);
+  EXPECT_EQ(ConcatTraces(first.records), ConcatTraces(second.records));
+}
+
+// The driver must agree with the plain sequential engine request by
+// request: same clusters, same regions, same reuse decisions.
+TEST(ServiceDriverTest, MatchesSequentialEngineOutcomes) {
+  const Scenario& scenario = SharedScenario();
+  const core::BoundingParams params;
+  const ServiceConfig config = ClosedBatchConfig(8);
+  const ServiceResult service = MustRun(config);
+
+  // Sequential reference: the same hosts, in ordinal order, through the
+  // ordinary engine pipeline against a fresh registry -- with a fault-free
+  // network attached, like the driver's, so the below-k liveness check is
+  // active in both.
+  util::Rng workload_rng(config.workload_seed);
+  const std::vector<data::UserId> hosts =
+      SampleWorkload(scenario.dataset.size(), config.requests, workload_rng);
+  cluster::Registry registry(scenario.dataset.size());
+  net::Network network(scenario.dataset.size());
+  core::CloakingEngine engine(
+      scenario.dataset,
+      std::make_unique<cluster::DistributedTConnClusterer>(
+          scenario.graph, config.k, &registry),
+      &registry, core::MakeSecurePolicyFactory(params),
+      core::BoundingMode::kSecureProtocol, &network);
+  // Hypothesis origins draw from each request's (master_seed, ordinal)
+  // sub-stream; the reference engine must use the driver's master seed for
+  // region bit patterns to agree.
+  engine.set_master_seed(config.master_seed);
+
+  ASSERT_EQ(hosts.size(), service.records.size());
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    const ServiceRequestRecord& record = service.records[i];
+    ASSERT_EQ(record.host, hosts[i]);
+    auto outcome = engine.RequestCloaking(hosts[i]);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.value().cluster_id, record.outcome.cluster_id)
+        << "request " << i;
+    EXPECT_EQ(outcome.value().region, record.outcome.region)
+        << "request " << i;
+    EXPECT_EQ(outcome.value().region_reused, record.outcome.region_reused)
+        << "request " << i;
+    EXPECT_EQ(outcome.value().cluster_reused, record.outcome.cluster_reused)
+        << "request " << i;
+    EXPECT_EQ(outcome.value().anonymity_satisfied,
+              record.outcome.anonymity_satisfied)
+        << "request " << i;
+    EXPECT_EQ(outcome.value().clustering_messages,
+              record.outcome.clustering_messages)
+        << "request " << i;
   }
+}
+
+// Per-request scoped accounting: with the shared fault-free network
+// attached, every bounding request that actually ran phase 2 reports its
+// own traffic.
+TEST(ServiceDriverTest, ScopedAccountingCoversBoundingTraffic) {
+  ServiceConfig config = ClosedBatchConfig(4);
+  config.requests = 64;
+  const ServiceResult result = MustRun(config);
+  uint64_t scoped_messages = 0;
+  bool some_bounding_traffic = false;
+  for (const ServiceRequestRecord& record : result.records) {
+    scoped_messages += record.net_stats.messages_delivered;
+    EXPECT_EQ(record.net_stats.messages_failed, 0u);  // fault-free
+    if (!record.outcome.region_reused &&
+        record.outcome.anonymity_satisfied) {
+      EXPECT_GT(record.net_stats.messages_delivered, 0u)
+          << "request " << record.ordinal;
+      some_bounding_traffic = true;
+    }
+  }
+  EXPECT_TRUE(some_bounding_traffic);
+  EXPECT_GT(scoped_messages, 0u);
 }
 
 // A light load (a quarter of sustainable) admits everything with small
@@ -230,30 +327,26 @@ TEST(ServiceDriverTest, WatchdogRescuesStalledRequestWithoutDigestDrift) {
 }
 
 TEST(ServiceDriverTest, RejectsInvalidConfigs) {
-  const Scenario& scenario = SharedScenario();
-  const core::BoundingParams params;
-  auto run_with = [&](const ServiceConfig& config) {
-    ServiceDriver driver(scenario.dataset, scenario.graph,
-                         core::MakeSecurePolicyFactory(params), config);
-    return driver.Run();
-  };
-
   ServiceConfig no_requests = ClosedBatchConfig(1);
   no_requests.requests = 0;
-  EXPECT_FALSE(run_with(no_requests).ok());
+  EXPECT_FALSE(RunConfig(no_requests).ok());
+
+  ServiceConfig oversized = ClosedBatchConfig(1);
+  oversized.requests = SharedScenario().dataset.size() + 1;
+  EXPECT_FALSE(RunConfig(oversized).ok());
 
   ServiceConfig zero_service = ClosedBatchConfig(1);
   zero_service.offered_rate_per_ms = 2.0;
   zero_service.service_time_ms = 0.0;
-  EXPECT_FALSE(run_with(zero_service).ok());
+  EXPECT_FALSE(RunConfig(zero_service).ok());
 
-  ServiceConfig no_checkpoint_dir = ClosedBatchConfig(1);
-  no_checkpoint_dir.checkpoint_interval = 4;  // but no checkpoint_dir
-  EXPECT_FALSE(run_with(no_checkpoint_dir).ok());
+  ServiceConfig no_durability_dir = ClosedBatchConfig(1);
+  no_durability_dir.checkpoint_interval = 4;  // but no durability_dir
+  EXPECT_FALSE(RunConfig(no_durability_dir).ok());
 
   ServiceConfig stall_out_of_range = ClosedBatchConfig(1);
   stall_out_of_range.stall_ordinal = stall_out_of_range.requests;
-  EXPECT_FALSE(run_with(stall_out_of_range).ok());
+  EXPECT_FALSE(RunConfig(stall_out_of_range).ok());
 }
 
 }  // namespace

@@ -1,29 +1,30 @@
-// Kill-anywhere chaos coverage for the sharded durability path: a crash at
-// any commit-path crash point must leave per-shard disk state that
-// RecoverAllShards rebuilds exactly -- idempotently, in parallel, and
-// WITHOUT touching sibling shards (shards whose streams were not torn stay
-// byte-identical on disk through recovery). Resuming the workload from the
-// assembled registry must converge to the bit-identical digest of a run
-// that never crashed.
+// Per-shard recovery: a clean multi-shard run recovers to its final
+// registry (serially and in parallel, whole or one shard at a time), and
+// recovery refuses hostile directory contents -- a checksum-valid WAL
+// frame that does not decode, or checkpoint files with non-canonical
+// names. The crash matrix lives in recovery_kill_anywhere_test.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/registry.h"
 #include "core/policy_factory.h"
+#include "durability/checkpoint.h"
 #include "durability/shard_layout.h"
+#include "durability/sharded_durable_registry.h"
 #include "durability/sharded_recovery.h"
-#include "net/fault_plan.h"
+#include "durability/wal.h"
+#include "geo/rect.h"
 #include "sim/scenario.h"
 #include "sim/sharded_service_driver.h"
+#include "util/hash.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -90,22 +91,6 @@ uint64_t UninterruptedDigest() {
   return digest;
 }
 
-// Byte snapshot of every file under one shard's durable-state directory.
-std::map<std::string, std::string> SnapshotShardFiles(
-    const std::string& base_dir, uint32_t shard) {
-  std::map<std::string, std::string> files;
-  const std::filesystem::path dir = durability::ShardDir(base_dir, shard);
-  if (!std::filesystem::exists(dir)) return files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    files[entry.path().filename().string()] = bytes.str();
-  }
-  return files;
-}
-
 std::vector<uint64_t> ShardNextLsns(
     const durability::ShardedRecoveredState& state) {
   std::vector<uint64_t> lsns;
@@ -169,123 +154,120 @@ TEST(ShardedRecoveryTest, SingleShardRecoveryMatchesFullRecovery) {
   }
 }
 
-struct KillCase {
-  net::ProcessCrashPoint point;
-  uint64_t after_hits;
-};
-
-class ShardedKillAnywhereTest
-    : public ::testing::TestWithParam<std::tuple<KillCase, uint32_t>> {};
-
-TEST_P(ShardedKillAnywhereTest, CrashOneShardRecoverResumeConverges) {
-  const KillCase kill = std::get<0>(GetParam());
-  const uint32_t threads = std::get<1>(GetParam());
-  const std::string dir =
-      FreshCaseDir(std::string(net::ProcessCrashPointName(kill.point)) +
-                   "_t" + std::to_string(threads));
-
-  ShardedServiceConfig config = DurableConfig(threads, dir);
-  config.service.fault_plan.process_crashes.push_back(
-      net::ProcessCrashEvent{kill.point, kill.after_hits});
-  const ShardedServiceResult crashed = MustRun(config);
-  ASSERT_TRUE(crashed.service.crashed);
-  ASSERT_TRUE(crashed.service.crash_point.has_value());
-  EXPECT_EQ(*crashed.service.crash_point, kill.point);
-  EXPECT_GT(crashed.service.aborted_by_crash, 0u)
-      << "crash fired too late to abort anything";
-
-  // Snapshot every shard's files as the crash left them.
-  std::vector<std::map<std::string, std::string>> before;
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    before.push_back(SnapshotShardFiles(dir, shard));
-  }
-
-  // Recovery is a pure, per-shard function of the on-disk files: two
-  // recoveries agree bit for bit, serial or parallel.
-  const uint32_t user_count = SharedScenario().dataset.size();
-  auto first = durability::RecoverAllShards(dir, kShards, user_count);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  util::ThreadPool pool(4);
-  auto second =
-      durability::RecoverAllShards(dir, kShards, user_count, &pool);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(ShardNextLsns(first.value()), ShardNextLsns(second.value()));
-  auto first_registry = durability::AssembleRegistry(first.value());
-  ASSERT_TRUE(first_registry.ok()) << first_registry.status().ToString();
-  auto second_registry = durability::AssembleRegistry(second.value());
-  ASSERT_TRUE(second_registry.ok());
-  EXPECT_EQ(first_registry.value()->Digest(),
-            second_registry.value()->Digest());
-
-  // One turnstile commit lands in exactly one stream, so at most ONE shard
-  // can carry a torn record; the crash is a single-shard event.
-  uint32_t torn_shards = 0;
-  for (const durability::ShardRecoveredState& shard : first.value().shards) {
-    if (shard.torn_bytes_discarded > 0) ++torn_shards;
-  }
-  EXPECT_LE(torn_shards, 1u);
-  if (kill.point == net::ProcessCrashPoint::kMidWalAppend) {
-    EXPECT_EQ(torn_shards, 1u);
-    // The first recovery truncated the torn tail; the second saw clean
-    // streams everywhere.
-    EXPECT_EQ(second.value().TotalTornBytes(), 0u);
-  }
-  if (kill.point == net::ProcessCrashPoint::kMidCheckpoint) {
-    uint32_t rejected = 0;
-    for (const auto& shard : first.value().shards) {
-      rejected += shard.checkpoints_rejected;
-    }
-    EXPECT_GE(rejected, 1u);
-  }
-
-  // Sibling isolation: recovering the crashed shard leaves every shard
-  // whose stream was NOT torn byte-identical on disk (recovery only ever
-  // mutates a torn tail, and only in the shard that owns it).
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    if (first.value().shards[shard].torn_bytes_discarded > 0) continue;
-    EXPECT_EQ(SnapshotShardFiles(dir, shard), before[shard])
-        << "recovery touched intact sibling " << shard;
-  }
-
-  // Resume the same workload on the assembled registry (crash disarmed):
-  // committed work resolves as reuse, the rest re-executes, and the digest
-  // converges to the uninterrupted run's.
-  ShardedServiceConfig resume_config = config;
-  resume_config.service.fault_plan.process_crashes.clear();
-  const Scenario& scenario = SharedScenario();
-  const core::BoundingParams params;
-  ShardedServiceDriver resumed_driver(scenario.dataset, scenario.graph,
-                                      core::MakeSecurePolicyFactory(params),
-                                      resume_config);
-  auto resumed = resumed_driver.Resume(second.value());
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_FALSE(resumed.value().service.crashed);
-  EXPECT_EQ(resumed.value().service.registry_digest, UninterruptedDigest())
-      << "resumed digest diverged after a "
-      << net::ProcessCrashPointName(kill.point) << " crash at threads="
-      << threads;
-  EXPECT_EQ(resumed.value().concatenated_digest,
-            resumed.value().service.registry_digest);
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPointsAllThreadCounts, ShardedKillAnywhereTest,
-    ::testing::Combine(
-        ::testing::Values(
-            KillCase{net::ProcessCrashPoint::kPreCommit, 5},
-            KillCase{net::ProcessCrashPoint::kMidWalAppend, 5},
-            KillCase{net::ProcessCrashPoint::kPostCommit, 5},
-            KillCase{net::ProcessCrashPoint::kMidCheckpoint, 2}),
-        ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<KillCase, uint32_t>>&
-           param_info) {
-      std::string name =
-          net::ProcessCrashPointName(std::get<0>(param_info.param).point);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_t" + std::to_string(std::get<1>(param_info.param));
-    });
+void AppendBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void PutLe(std::string* out, uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+  }
+}
+
+// A WAL frame around `payload` with a correct length and checksum.
+std::string ChecksumValidFrame(const std::string& payload) {
+  std::string frame;
+  PutLe(&frame, payload.size(), 4);
+  PutLe(&frame, util::FnvHashBytes(payload.data(), payload.size()), 8);
+  return frame + payload;
+}
+
+// A checksum-valid frame can only come from a complete append, so one that
+// does not decode (a retired or unknown type byte) is corruption, not a
+// torn tail: reading, truncating and recovering must all fail and leave the
+// stream byte-identical -- never cut it back and drop the intact commit
+// logged after the bad frame.
+TEST(ShardedRecoveryTest, ChecksumValidUndecodableFrameIsAnError) {
+  const uint32_t user_count = SharedScenario().dataset.size();
+  for (const uint8_t type : {uint8_t{1}, uint8_t{9}}) {
+    const std::string dir =
+        FreshCaseDir("undecodable_type" + std::to_string(type));
+    const std::string stream_path = durability::ShardWalPath(dir, 0);
+    {
+      cluster::Registry registry(user_count);
+      auto durable = durability::ShardedDurableRegistry::Open(
+          &registry, dir, 1, nullptr, {1}, {}, /*truncate=*/true);
+      ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+      cluster::ClusterInfo info;
+      info.members = {1, 2, 3, 4, 5};
+      info.connectivity = 0.5;
+      ASSERT_TRUE(durable.value()->RegisterBatch(0, {info}).ok());
+    }
+    // lsn 2: a batch payload whose type byte (after the u64 lsn) is
+    // replaced, framed with a correct checksum.
+    durability::WalRecord batch;
+    batch.lsn = 2;
+    batch.clusters = {{{6, 7, 8, 9, 10}, 0.5, true}};
+    std::string payload = durability::EncodeWalRecord(batch);
+    payload[8] = static_cast<char>(type);
+    AppendBytes(stream_path, ChecksumValidFrame(payload));
+    {
+      auto writer =
+          durability::WalWriter::Open(stream_path, /*truncate=*/false);
+      ASSERT_TRUE(writer.ok());
+      durability::WalRecord region;
+      region.lsn = 3;
+      region.type = durability::WalRecordType::kSetRegion;
+      region.cluster_id = 0;
+      region.region = geo::Rect(0.25, 0.25, 0.5, 0.5);
+      ASSERT_TRUE(writer.value()->Append(region).ok());
+    }
+    const std::string before = ReadBytes(stream_path);
+
+    EXPECT_FALSE(durability::ReadWal(stream_path).ok()) << "type " << +type;
+    EXPECT_FALSE(durability::TruncateTornTail(stream_path).ok())
+        << "type " << +type;
+    EXPECT_FALSE(durability::RecoverShard(dir, 0, user_count).ok())
+        << "type " << +type;
+    EXPECT_FALSE(durability::RecoverAllShards(dir, 1, user_count).ok())
+        << "type " << +type;
+    EXPECT_EQ(ReadBytes(stream_path), before)
+        << "a failed recovery modified the stream (type " << +type << ")";
+  }
+}
+
+// Checkpoint discovery accepts only the names CheckpointPath() writes: a
+// stray "checkpoint-007.ckpt" or a seq too long for u64 must neither raise
+// max_checkpoint_seq (which numbers resumed checkpoints) nor change which
+// checkpoint is restored.
+TEST(ShardedRecoveryTest, NonCanonicalCheckpointNamesAreIgnored) {
+  const std::string dir = FreshCaseDir("noncanonical_names");
+  const ShardedServiceResult result = MustRun(DurableConfig(4, dir));
+  ASSERT_GT(result.service.checkpoints_written, 0u);
+  const uint32_t user_count = SharedScenario().dataset.size();
+  auto clean = durability::RecoverShard(dir, 0, user_count);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_GT(clean.value().checkpoint_seq, 0u);
+
+  const std::string shard_dir = durability::ShardCheckpointDir(dir, 0);
+  const std::string valid = ReadBytes(durability::CheckpointPath(
+      shard_dir, clean.value().checkpoint_seq));
+  for (const char* name :
+       {"checkpoint-007.ckpt", "checkpoint-18446744073709551621.ckpt",
+        "checkpoint-99999999999999999999999.ckpt", "checkpoint-+9.ckpt",
+        "checkpoint-9.ckpt.bak"}) {
+    AppendBytes(shard_dir + "/" + name, valid);
+  }
+
+  auto strays = durability::RecoverShard(dir, 0, user_count);
+  ASSERT_TRUE(strays.ok()) << strays.status().ToString();
+  EXPECT_EQ(strays.value().max_checkpoint_seq,
+            clean.value().max_checkpoint_seq);
+  EXPECT_EQ(strays.value().checkpoint_seq, clean.value().checkpoint_seq);
+  EXPECT_EQ(strays.value().checkpoints_rejected,
+            clean.value().checkpoints_rejected);
+  EXPECT_EQ(strays.value().clusters.size(), clean.value().clusters.size());
+  EXPECT_EQ(strays.value().records_replayed,
+            clean.value().records_replayed);
+}
 
 }  // namespace
 }  // namespace nela::sim

@@ -1,8 +1,8 @@
-// Tests for the spatially sharded service driver: the determinism matrix
-// (digests bit-identical across thread counts AND shard counts), exact
-// agreement of the K=1 engine with the classic ServiceDriver facade,
-// cross-shard ownership accounting, per-shard admission queues, and the
-// per-shard WAL stream split.
+// Tests for the service driver across spatial shards: the determinism
+// matrix (digests bit-identical across thread counts AND shard counts),
+// golden pins of the closed-batch output at K=1 and K=4, cross-shard
+// ownership accounting, per-shard admission queues, the per-shard WAL
+// stream split, and durability-mode validation.
 
 #include <filesystem>
 #include <string>
@@ -12,8 +12,8 @@
 
 #include "core/policy_factory.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
 #include "sim/sharded_service_driver.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace nela::sim {
@@ -100,39 +100,59 @@ TEST(ShardedServiceDriverTest, DigestMatrixIsThreadAndShardInvariant) {
   }
 }
 
-// The K=1 engine IS the classic service driver: same digest, same traces,
-// same records (ServiceDriver is a facade over it, so this pins the facade
-// and the engine together bit for bit).
+// Golden values of the closed batch at 4 threads, recorded before the
+// classic single-shard driver and its single-file WAL were deleted. They
+// pin the cluster output itself, not just agreement between two code
+// paths. The registry and outcome digests are shard-count-invariant; the
+// traces name shard facts, so their hash is per K.
+struct GoldenPins {
+  uint32_t shards;
+  uint64_t registry_digest;
+  uint64_t outcome_digest;
+  uint64_t traces_fnv;
+};
+
+constexpr GoldenPins kSingleShardPins = {
+    1, 0x7fae17db4d5db749ull, 0x8e580e7d2715c182ull, 0xbf24036549f99c83ull};
+constexpr GoldenPins kFourShardPins = {
+    4, 0x7fae17db4d5db749ull, 0x8e580e7d2715c182ull, 0x5c863ab89bf30a78ull};
+
+uint64_t TracesFnv(const std::vector<ServiceRequestRecord>& records) {
+  const std::string traces = ConcatTraces(records);
+  return util::FnvHashBytes(traces.data(), traces.size());
+}
+
+void ExpectGoldenPins(const ShardedServiceResult& result,
+                      const GoldenPins& pins) {
+  EXPECT_EQ(result.service.registry_digest, pins.registry_digest)
+      << "shards=" << pins.shards;
+  EXPECT_EQ(result.service.outcome_digest, pins.outcome_digest)
+      << "shards=" << pins.shards;
+  EXPECT_EQ(TracesFnv(result.service.records), pins.traces_fnv)
+      << "shards=" << pins.shards;
+}
+
+// The K=1 run reproduces, bit for bit, what the single-shard driver with
+// the single-file WAL produced before it was folded into this one (the
+// K=1 golden pins were recorded from it), and one shard owns everything.
 TEST(ShardedServiceDriverTest, SingleShardMatchesServiceDriverBitForBit) {
-  const Scenario& scenario = SharedScenario();
-  const core::BoundingParams params;
-  const ShardedServiceConfig config = ClosedBatchConfig(4, 1);
-
-  ServiceDriver classic(scenario.dataset, scenario.graph,
-                        core::MakeSecurePolicyFactory(params),
-                        config.service);
-  auto classic_result = classic.Run();
-  ASSERT_TRUE(classic_result.ok()) << classic_result.status().ToString();
-
-  const ShardedServiceResult sharded = MustRun(config);
-  EXPECT_EQ(sharded.service.registry_digest,
-            classic_result.value().registry_digest);
-  EXPECT_EQ(ConcatTraces(sharded.service.records),
-            ConcatTraces(classic_result.value().records));
+  const ShardedServiceResult sharded = MustRun(ClosedBatchConfig(4, 1));
+  ExpectGoldenPins(sharded, kSingleShardPins);
   EXPECT_EQ(sharded.cross_shard_clusters, 0u);
   EXPECT_EQ(sharded.cross_shard_handoffs, 0u);
   ASSERT_EQ(sharded.shards.size(), 1u);
   // The single shard owns every cluster and every user.
   EXPECT_EQ(sharded.shards[0].clusters_owned, sharded.service.clusters_formed);
-  EXPECT_EQ(sharded.shards[0].users, scenario.dataset.size());
+  EXPECT_EQ(sharded.shards[0].users, SharedScenario().dataset.size());
 }
 
 // With a real spatial partition, clusters near the grid boundaries straddle
 // shards; ownership accounting must tie out exactly against the global
 // registry (every cluster owned by exactly one shard, every user homed in
-// exactly one).
+// exactly one), and the output matches the K=4 golden pins.
 TEST(ShardedServiceDriverTest, CrossShardOwnershipAccountingTiesOut) {
   const ShardedServiceResult result = MustRun(ClosedBatchConfig(4, 4));
+  ExpectGoldenPins(result, kFourShardPins);
   const uint32_t user_count = SharedScenario().dataset.size();
 
   uint64_t users = 0;
@@ -216,27 +236,33 @@ TEST(ShardedServiceDriverTest, WalStreamsSplitAcrossShards) {
             MustRun(ClosedBatchConfig(4, 4)).service.registry_digest);
 }
 
-// Config validation: the classic single-file WAL and the sharded stream
-// directory are mutually exclusive, and multi-shard runs must use the
-// latter.
+// Durability-mode validation: checkpointing needs the durability
+// directory, and a resume needs that directory plus recovered state for
+// exactly the configured shard count.
 TEST(ShardedServiceDriverTest, RejectsConflictingDurabilityModes) {
   const Scenario& scenario = SharedScenario();
   const core::BoundingParams params;
+  const auto driver_for = [&](const ShardedServiceConfig& config) {
+    return ShardedServiceDriver(scenario.dataset, scenario.graph,
+                                core::MakeSecurePolicyFactory(params),
+                                config);
+  };
 
-  ShardedServiceConfig both = ClosedBatchConfig(1, 1);
-  both.service.wal_path = ::testing::TempDir() + "conflict.walx";
-  both.durability_dir = ::testing::TempDir() + "conflict_dir";
-  ShardedServiceDriver both_driver(scenario.dataset, scenario.graph,
-                                   core::MakeSecurePolicyFactory(params),
-                                   both);
-  EXPECT_FALSE(both_driver.Run().ok());
+  ShardedServiceConfig checkpoint_only = ClosedBatchConfig(1, 1);
+  checkpoint_only.service.checkpoint_interval = 4;
+  EXPECT_FALSE(driver_for(checkpoint_only).Run().ok());
 
-  ShardedServiceConfig classic_multi = ClosedBatchConfig(1, 4);
-  classic_multi.service.wal_path = ::testing::TempDir() + "multi.walx";
-  ShardedServiceDriver multi_driver(scenario.dataset, scenario.graph,
-                                    core::MakeSecurePolicyFactory(params),
-                                    classic_multi);
-  EXPECT_FALSE(multi_driver.Run().ok());
+  durability::ShardedRecoveredState four_shards;
+  four_shards.user_count = scenario.dataset.size();
+  four_shards.shards.resize(4);
+  EXPECT_FALSE(driver_for(ClosedBatchConfig(1, 4)).Resume(four_shards).ok())
+      << "resume without a durability directory";
+
+  ShardedServiceConfig durable_one = ClosedBatchConfig(1, 1);
+  durable_one.durability_dir =
+      ::testing::TempDir() + "sharded_service_resume_mismatch";
+  EXPECT_FALSE(driver_for(durable_one).Resume(four_shards).ok())
+      << "resume with state recovered for a different shard count";
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInlineOnCaller) {
 }
 
 TEST(ThreadPoolTest, AllWorkersAreLiveSimultaneously) {
-  // The batch driver's commit turnstile blocks workers on each other, so
+  // The service driver's commit turnstile blocks workers on each other, so
   // RunOnAllThreads must provide genuine concurrency: every worker waits
   // until all of them have arrived, which can only terminate if all
   // thread_count() invocations run at the same time.
