@@ -73,8 +73,7 @@ struct DegradationReport {
   // Times core::FinalizeDegradation sealed this report. Every delivered
   // outcome -- degraded or not, shed or admitted -- must show exactly 1:
   // 0 means an unfinalized report escaped a driver, 2+ means a request was
-  // double-finalized (e.g. processed again after a watchdog requeue without
-  // a fresh outcome).
+  // double-finalized (e.g. processed twice without a fresh outcome).
   uint32_t finalize_count = 0;
 
   bool degraded() const {

@@ -94,15 +94,21 @@ struct Reader {
     pos += 8;
     return true;
   }
+  // Also false for bytes no geo::Rect can hold (min > max, or a NaN
+  // coordinate: hence the negated comparisons), so hostile input fails the
+  // decode instead of aborting in the constructor's check.
   bool TakeRect(geo::Rect* rect) {
     uint64_t bits[4] = {0, 0, 0, 0};
     if (!TakeU64(&bits[0]) || !TakeU64(&bits[1]) || !TakeU64(&bits[2]) ||
         !TakeU64(&bits[3])) {
       return false;
     }
-    *rect = geo::Rect(
-        util::DoubleFromBits(bits[0]), util::DoubleFromBits(bits[1]),
-        util::DoubleFromBits(bits[2]), util::DoubleFromBits(bits[3]));
+    const double min_x = util::DoubleFromBits(bits[0]);
+    const double min_y = util::DoubleFromBits(bits[1]);
+    const double max_x = util::DoubleFromBits(bits[2]);
+    const double max_y = util::DoubleFromBits(bits[3]);
+    if (!(min_x <= max_x) || !(min_y <= max_y)) return false;
+    *rect = geo::Rect(min_x, min_y, max_x, max_y);
     return true;
   }
   // Inverse of PutCluster. The member reservation is capped by the bytes

@@ -199,11 +199,15 @@ util::Result<ShardedRecoveredState> RecoverAllShards(
   };
   if (pool != nullptr && shard_count > 1) {
     // Each shard reads (and truncates) only its own directory, so the
-    // recoveries are embarrassingly parallel.
-    pool->ParallelFor(shard_count,
-                      [&](unsigned /*worker*/, size_t begin, size_t end) {
-                        recover_range(begin, end);
-                      });
+    // recoveries are embarrassingly parallel: one chunk per shard, and no
+    // sequential cutoff (a few shards are worth a dispatch).
+    util::ChunkOptions options;
+    options.grain = 1;
+    options.sequential_cutoff = 0;
+    pool->ParallelForChunks(
+        shard_count, options,
+        [&](uint32_t /*worker*/, uint64_t /*chunk*/, uint64_t begin,
+            uint64_t end) { recover_range(begin, end); });
   } else {
     recover_range(0, shard_count);
   }

@@ -58,12 +58,10 @@ util::Result<ChaosExperimentResult> RunChaosExperiment(
   audit::ObserverConfig observer_config;
   observer_config.taint = &taint;
   audit::AdversaryObserver observer(observer_config);
-  if (config.verify_non_exposure) {
-    for (data::UserId user = 0; user < n; ++user) {
-      taint.TaintPoint(user, scenario.dataset.point(user));
-    }
-    network.SetTap(&observer);
+  for (data::UserId user = 0; user < n; ++user) {
+    taint.TaintPoint(user, scenario.dataset.point(user));
   }
+  network.SetTap(&observer);
 
   cluster::Registry registry(n);
   auto clusterer = std::make_unique<cluster::DistributedTConnClusterer>(
@@ -131,11 +129,9 @@ util::Result<ChaosExperimentResult> RunChaosExperiment(
         static_cast<double>(result.retries) /
         static_cast<double>(result.delivered_messages);
   }
-  if (config.verify_non_exposure) {
-    result.audited_messages = observer.messages_seen();
-    result.exposure_violations = observer.violation_count();
-    network.SetTap(nullptr);
-  }
+  result.audited_messages = observer.messages_seen();
+  result.exposure_violations = observer.violation_count();
+  network.SetTap(nullptr);
   return result;
 }
 

@@ -41,12 +41,6 @@ struct ChaosExperimentConfig {
   // Recovery parameters.
   net::BackoffPolicy retry;
   uint32_t max_phase_retries = 3;
-
-  // Non-exposure verification: attach an audit::AdversaryObserver (with a
-  // taint set over every user coordinate) to the network for the whole run
-  // and report the violations it finds. On by default -- chaos runs are
-  // exactly where failure paths could leak.
-  bool verify_non_exposure = true;
 };
 
 struct ChaosExperimentResult {
@@ -82,9 +76,11 @@ struct ChaosExperimentResult {
   double avg_achieved_anonymity = 0.0;
   double avg_region_area = 0.0;
 
-  // Non-exposure audit (0 when verify_non_exposure is off). Any non-zero
-  // violation count is a protocol bug: the adversary observer reconstructed
-  // more about some user than ranks + published region allow.
+  // Non-exposure audit: an audit::AdversaryObserver, with every user
+  // coordinate tainted, watches the network for the whole run -- chaos runs
+  // are exactly where failure paths could leak. Any non-zero violation
+  // count is a protocol bug: the observer reconstructed more about some
+  // user than ranks + published region allow.
   uint64_t audited_messages = 0;
   uint64_t exposure_violations = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <queue>
 #include <set>
 #include <thread>
@@ -13,19 +12,18 @@
 #include "cluster/distributed_tconn.h"
 #include "cluster/registry.h"
 #include "cluster/sharded_registry.h"
-#include "core/mechanism.h"
 #include "core/pipeline.h"
 #include "core/request_context.h"
 #include "core/stages.h"
 #include "durability/crash_scheduler.h"
 #include "durability/sharded_durable_registry.h"
 #include "geo/rect.h"
-#include "mechanisms/factory.h"
 #include "net/network.h"
 #include "sim/workload.h"
 #include "util/hash.h"
 #include "util/mutex.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -34,19 +32,23 @@ namespace nela::sim {
 
 namespace {
 
-double PercentileMs(const std::vector<double>& sorted, double percentile) {
-  if (sorted.empty()) return 0.0;
-  const size_t index = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(percentile / 100.0 *
-                          static_cast<double>(sorted.size())));
-  return sorted[index];
-}
-
 util::Status CrashError(net::ProcessCrashPoint point) {
   return util::UnavailableError(
       std::string("simulated process crash at ") +
       net::ProcessCrashPointName(point));
+}
+
+// Records one stage in both the request's trace and its degradation report.
+void AppendStage(core::RequestContext& ctx, core::CloakingOutcome* outcome,
+                 const char* stage, util::StatusCode code, bool ran,
+                 std::string detail) {
+  core::StageRecord record;
+  record.stage = stage;
+  record.code = code;
+  record.ran = ran;
+  record.detail = std::move(detail);
+  ctx.trace().Record(record.stage, record.code, record.detail);
+  outcome->degradation.stages.push_back(std::move(record));
 }
 
 // Routes PublishStage's region write to the WAL stream that logged the
@@ -75,14 +77,9 @@ struct ShardedServiceDriver::RunState {
   std::unique_ptr<durability::CrashPointScheduler> crash;
   std::unique_ptr<durability::ShardedDurableRegistry> durable;
   std::unique_ptr<core::RegionWriter> region_writer;
-  // Non-null when a baseline mechanism serves the requests (ServiceConfig::
-  // mechanism != kClusterBound); ProcessRequest then routes every request
-  // through the independent mechanism path.
-  std::unique_ptr<core::Mechanism> mechanism;
   // One wound-wait arbiter per shard, all sharing the global admission-rank
   // ticket space (OpenRequestAt).
   std::vector<std::unique_ptr<cluster::ClaimCoordinator>> coordinators;
-  std::vector<data::UserId> hosts;
   // Ordinal -> home shard of the host (the routing decision).
   std::vector<cluster::ShardId> home_of;
   std::vector<ServiceRequestRecord> records;
@@ -90,19 +87,16 @@ struct ShardedServiceDriver::RunState {
   // was finalized into its record). Written by the owning worker; read
   // after the pool joins.
   std::vector<uint8_t> delivered;
-  // Admitted ordinals in ordinal order; workers pull indexes into this.
+  // Admitted ordinals in ordinal order. The index of an ordinal here is its
+  // admission rank: its commit turn, and its wound-wait ticket minus one.
   std::vector<uint64_t> admitted_ordinals;
-  // Ordinal -> dense rank among admitted requests (drives the turnstile).
-  std::unordered_map<uint64_t, uint64_t> commit_rank;
-  std::unordered_map<uint64_t, cluster::Ticket> tickets;
   std::atomic<uint64_t> next_work{0};
   std::atomic<uint64_t> speculation_retries{0};
   std::atomic<uint64_t> speculation_aborts{0};
-  std::atomic<uint64_t> watchdog_requeues{0};
   std::atomic<uint64_t> cross_shard_handoffs{0};
 
   // One mutex coordinates the commit turnstile, the per-cluster region
-  // latches, the watchdog parking lot, and the halt flag (decisions
+  // latches, and the halt flag (decisions
   // interleave; contention is negligible next to the clustering/bounding
   // work done outside it). Lock hierarchy: mu precedes every lock taken
   // inside the turnstile -- each shard coordinator's lock, the durable
@@ -121,9 +115,6 @@ struct ShardedServiceDriver::RunState {
     std::set<uint64_t> waiters;
   };
   std::unordered_map<cluster::ClusterId, Latch> latches GUARDED_BY(mu);
-  // Stalled requests awaiting rescue (ordinal -> ticket still holding its
-  // claims). Ordered so the oldest is rescued first.
-  std::map<uint64_t, cluster::Ticket> parked GUARDED_BY(mu);
   // Set when a scheduled process crash fires: workers unwind without
   // delivering further outcomes, exactly as a dying process would.
   bool halted GUARDED_BY(mu) = false;
@@ -219,64 +210,15 @@ bool ShardedServiceDriver::AnyWounded(RunState& run, cluster::Ticket ticket) {
   return wounded;
 }
 
-void ShardedServiceDriver::FillShedRecord(RunState& run, uint64_t ordinal,
-                                          ShedCause cause, double arrival_ms,
-                                          double queue_wait_ms,
-                                          uint32_t occupancy) {
-  const ServiceConfig& service = config_.service;
+void ShardedServiceDriver::FillUnservedRecord(RunState& run, uint64_t ordinal,
+                                              const char* stage_name,
+                                              util::StatusCode code,
+                                              std::string detail) {
   ServiceRequestRecord& record = run.records[ordinal];
-  const data::UserId host = run.hosts[ordinal];
-  core::RequestContext ctx(service.master_seed, ordinal, host);
-  record.host = host;
-  record.ordinal = ordinal;
-  record.admitted = false;
-  record.shed = cause;
-  record.arrival_ms = arrival_ms;
-  record.queue_wait_ms = queue_wait_ms;
-
-  core::StageRecord stage;
-  stage.stage = "admission";
-  stage.ran = true;
-  if (cause == ShedCause::kQueueOverflow) {
-    stage.code = util::StatusCode::kUnavailable;
-    stage.detail = "admission queue full (occupancy=" +
-                   std::to_string(occupancy) + " capacity=" +
-                   std::to_string(service.queue_capacity) + "); request shed";
-  } else {
-    stage.code = util::StatusCode::kDeadlineExceeded;
-    stage.detail = "simulated queue wait " + std::to_string(queue_wait_ms) +
-                   "ms exceeds deadline " +
-                   std::to_string(service.deadline_ms) + "ms; request shed";
-  }
-  ctx.trace().Record(stage.stage, stage.code, stage.detail);
+  core::RequestContext ctx(config_.service.master_seed, ordinal, record.host);
   record.outcome.anonymity_satisfied = false;
-  record.outcome.degradation.stages.push_back(std::move(stage));
-  core::FinalizeDegradation(ctx, &record.outcome);
-  record.trace = ctx.trace().ToString();
-  run.delivered[ordinal] = 1;
-}
-
-void ShardedServiceDriver::FillCrashAbortRecord(RunState& run,
-                                                uint64_t ordinal,
-                                                net::ProcessCrashPoint point) {
-  ServiceRequestRecord& record = run.records[ordinal];
-  const data::UserId host = run.hosts[ordinal];
-  core::RequestContext ctx(config_.service.master_seed, ordinal, host);
-  record.host = host;
-  record.ordinal = ordinal;
-  record.aborted_by_crash = true;
-
-  core::StageRecord stage;
-  stage.stage = "service";
-  stage.ran = true;
-  stage.code = util::StatusCode::kUnavailable;
-  stage.detail = std::string("aborted by simulated process crash at ") +
-                 net::ProcessCrashPointName(point) +
-                 "; durable state recovers on restart";
-  ctx.trace().Record(stage.stage, stage.code, stage.detail);
-  record.outcome = core::CloakingOutcome{};
-  record.outcome.anonymity_satisfied = false;
-  record.outcome.degradation.stages.push_back(std::move(stage));
+  AppendStage(ctx, &record.outcome, stage_name, code, /*ran=*/true,
+              std::move(detail));
   core::FinalizeDegradation(ctx, &record.outcome);
   record.trace = ctx.trace().ToString();
   run.delivered[ordinal] = 1;
@@ -284,16 +226,13 @@ void ShardedServiceDriver::FillCrashAbortRecord(RunState& run,
 
 void ShardedServiceDriver::AdmitWorkload(RunState& run) {
   const ServiceConfig& service = config_.service;
-  const uint32_t request_count = static_cast<uint32_t>(run.hosts.size());
+  const auto request_count = static_cast<uint32_t>(run.records.size());
   run.admitted_ordinals.reserve(request_count);
 
   if (service.offered_rate_per_ms <= 0.0) {
     // Closed batch: everything arrives at t=0 and is admitted with zero
     // wait; the queue model (and its thread-count dependence) is off.
     for (uint64_t ordinal = 0; ordinal < request_count; ++ordinal) {
-      ServiceRequestRecord& record = run.records[ordinal];
-      record.admitted = true;
-      run.commit_rank.emplace(ordinal, run.admitted_ordinals.size());
       run.admitted_ordinals.push_back(ordinal);
     }
     return;
@@ -336,106 +275,66 @@ void ShardedServiceDriver::AdmitWorkload(RunState& run) {
     const auto waiting = static_cast<uint32_t>(
         starts.end() -
         std::upper_bound(starts.begin(), starts.end(), arrival));
+    ServiceRequestRecord& record = run.records[ordinal];
+    record.arrival_ms = arrival;
     if (service.queue_capacity > 0 && waiting >= service.queue_capacity) {
-      FillShedRecord(run, ordinal, ShedCause::kQueueOverflow, arrival, 0.0,
-                     waiting);
+      record.admitted = false;
+      record.shed = ShedCause::kQueueOverflow;
+      FillUnservedRecord(run, ordinal, "admission",
+                         util::StatusCode::kUnavailable,
+                         "admission queue full (occupancy=" +
+                             std::to_string(waiting) + " capacity=" +
+                             std::to_string(service.queue_capacity) +
+                             "); request shed");
       continue;
     }
     const double earliest_free = free_at[shard].top();
     const double wait = std::max(0.0, earliest_free - arrival);
+    record.queue_wait_ms = wait;
     if (wait > service.deadline_ms) {
-      FillShedRecord(run, ordinal, ShedCause::kDeadline, arrival, wait,
-                     waiting);
+      record.admitted = false;
+      record.shed = ShedCause::kDeadline;
+      FillUnservedRecord(run, ordinal, "admission",
+                         util::StatusCode::kDeadlineExceeded,
+                         "simulated queue wait " + std::to_string(wait) +
+                             "ms exceeds deadline " +
+                             std::to_string(service.deadline_ms) +
+                             "ms; request shed");
       continue;
     }
     free_at[shard].pop();
     const double start = arrival + wait;
     free_at[shard].push(start + service.service_time_ms);
     starts.push_back(start);
-    ServiceRequestRecord& record = run.records[ordinal];
-    record.admitted = true;
-    record.arrival_ms = arrival;
-    record.queue_wait_ms = wait;
-    run.commit_rank.emplace(ordinal, run.admitted_ordinals.size());
     run.admitted_ordinals.push_back(ordinal);
   }
 }
 
-bool ShardedServiceDriver::TryRescue(RunState& run, uint64_t max_rank) {
-  uint64_t parked_ordinal = 0;
-  cluster::Ticket parked_ticket = cluster::kNoTicket;
-  {
-    util::MutexLock lock(run.mu);
-    if (run.halted) return false;
-    bool found = false;
-    for (const auto& [ordinal, ticket] : run.parked) {
-      // Only rescue a request whose commit precedes `max_rank`: rescuing a
-      // younger request from inside an older one's turnstile wait would
-      // re-enter a wait that the rescuer itself blocks.
-      if (run.commit_rank.at(ordinal) < max_rank) {
-        parked_ordinal = ordinal;
-        parked_ticket = ticket;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-    run.parked.erase(parked_ordinal);
+util::Result<uint64_t> ShardedServiceDriver::ClusterOnSnapshot(
+    RunState& run, data::UserId host, uint64_t* version,
+    std::vector<cluster::ClusterInfo>* candidate) {
+  std::unique_ptr<cluster::Registry> scratch = run.registry->Snapshot(version);
+  if (scratch->IsClustered(host)) return uint64_t{0};
+  const cluster::ClusterId first_new = scratch->cluster_count();
+  cluster::DistributedTConnClusterer clusterer(graph_, config_.service.k,
+                                               scratch.get());
+  auto clustered = clusterer.ClusterFor(host);
+  if (!clustered.ok()) return clustered.status();
+  for (cluster::ClusterId id = first_new; id < scratch->cluster_count();
+       ++id) {
+    candidate->push_back(scratch->info(id));
   }
-  // Roll the stalled attempt's claims back and re-execute from scratch; the
-  // abandoned attempt consumed nothing from the request's context, so the
-  // re-execution is bit-identical to a run without the stall.
-  ReleaseAll(run, parked_ticket);
-  run.watchdog_requeues.fetch_add(1, std::memory_order_relaxed);
-  const util::Status status =
-      ProcessRequest(run, parked_ordinal, /*allow_stall=*/false);
-  if (!status.ok()) {
-    util::MutexLock lock(run.mu);
-    if (run.first_error.ok()) run.first_error = status;
-  }
-  return true;
-}
-
-util::Status ShardedServiceDriver::ProcessMechanismRequest(RunState& run,
-                                                           uint64_t ordinal) {
-  const ServiceConfig& service = config_.service;
-  const util::WallTimer timer;
-  const data::UserId host = run.hosts[ordinal];
-  ServiceRequestRecord& record = run.records[ordinal];
-  core::RequestContext ctx(service.master_seed, ordinal, host);
-  ctx.set_deadline_ms(service.deadline_ms);
-  if (record.queue_wait_ms > 0.0) {
-    ctx.scope().RecordBackoff(record.queue_wait_ms);
-  }
-
-  core::PipelineState state;
-  state.host = host;
-  state.k = service.k;
-  core::MechanismStage stage(run.mechanism.get());
-  const std::vector<core::Stage*> stages = {&stage};
-  const util::Status status = core::RunPipeline(stages, ctx, state);
-  core::FinalizeDegradation(ctx, &state.outcome);
-
-  record.host = host;
-  record.ordinal = ordinal;
-  record.outcome = std::move(state.outcome);
-  record.trace = ctx.trace().ToString();
-  record.net_stats = ctx.scope().stats();
-  record.wall_ms = timer.ElapsedMillis();
-  run.delivered[ordinal] = 1;
-  return status;
+  return clustered.value().involved_users;
 }
 
 util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
-                                                  uint64_t ordinal,
-                                                  bool allow_stall) {
-  if (run.mechanism != nullptr) return ProcessMechanismRequest(run, ordinal);
+                                                  uint64_t rank) {
   const ServiceConfig& service = config_.service;
   const util::WallTimer timer;
-  const data::UserId host = run.hosts[ordinal];
-  const cluster::ShardId home = run.home_of[ordinal];
+  const uint64_t ordinal = run.admitted_ordinals[rank];
   ServiceRequestRecord& record = run.records[ordinal];
-  const uint64_t rank = run.commit_rank.at(ordinal);
+  const data::UserId host = record.host;
+  const cluster::ShardId home = run.home_of[ordinal];
   core::RequestContext ctx(service.master_seed, ordinal, host);
   ctx.set_deadline_ms(service.deadline_ms);
   // The simulated queue wait counts against the request's deadline budget
@@ -443,7 +342,8 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   if (record.queue_wait_ms > 0.0) {
     ctx.scope().RecordBackoff(record.queue_wait_ms);
   }
-  const cluster::Ticket ticket = run.tickets.at(ordinal);
+  // The wound-wait ticket every coordinator opened for this request.
+  const auto ticket = static_cast<cluster::Ticket>(rank + 1);
 
   // --- Speculation (parallel, untraced: the candidate may be discarded,
   // and claim conflicts are scheduling-dependent) ---------------------------
@@ -460,46 +360,27 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
       }
     }
     (void)AnyWounded(run, ticket);  // clear any stale wound
-    std::unique_ptr<cluster::Registry> scratch =
-        run.registry->Snapshot(&spec_version);
-    if (scratch->IsClustered(host)) break;  // reuse; the turnstile decides
-    const cluster::ClusterId first_new = scratch->cluster_count();
-    cluster::DistributedTConnClusterer clusterer(graph_, service.k,
-                                                 scratch.get());
-    auto speculative = clusterer.ClusterFor(host);
-    if (!speculative.ok()) break;  // reproduced serially at the turnstile
-    spec_involved = speculative.value().involved_users;
+    auto speculative = ClusterOnSnapshot(run, host, &spec_version,
+                                         &candidate);
+    // Nothing to claim (a reuse, or an error the turnstile reproduces
+    // serially): the turnstile decides.
+    if (!speculative.ok() || candidate.empty()) break;
+    spec_involved = speculative.value();
     std::vector<graph::VertexId> claim_set;
-    for (cluster::ClusterId id = first_new; id < scratch->cluster_count();
-         ++id) {
-      const cluster::ClusterInfo& info = scratch->info(id);
+    for (const cluster::ClusterInfo& info : candidate) {
       claim_set.insert(claim_set.end(), info.members.begin(),
                        info.members.end());
-      candidate.push_back(info);
     }
-    if (candidate.empty()) break;
     if (!TryClaimAcross(run, ticket, home, claim_set)) {
       // An older request holds users we need; it always finishes without
-      // waiting on us (wound-wait) -- unless it is parked (stalled), in
-      // which case the watchdog path below rolls it back. Either way,
-      // re-speculate on a fresher snapshot.
+      // waiting on us (wound-wait), so re-speculate on a fresher snapshot.
       run.speculation_retries.fetch_add(1, std::memory_order_relaxed);
       candidate.clear();
-      if (!TryRescue(run, rank)) std::this_thread::yield();
+      std::this_thread::yield();
       continue;
     }
     holds_claim = true;
     break;
-  }
-
-  // --- Stall injection (test-only): park while holding claims; whichever
-  // request this blocks rescues us via TryRescue --------------------------
-  if (allow_stall && ordinal == service.stall_ordinal) {
-    util::MutexLock lock(run.mu);
-    run.parked.emplace(ordinal, ticket);
-    run.turn_cv.NotifyAll();
-    run.region_cv.NotifyAll();
-    return util::Status::Ok();  // this attempt is abandoned, not delivered
   }
 
   // --- Commit turnstile: requests commit membership in strict rank order
@@ -513,13 +394,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   util::Status commit_status;
   {
     util::MutexLock lock(run.mu);
-    while (run.next_commit != rank && !run.halted) {
-      lock.Unlock();
-      const bool rescued = TryRescue(run, rank);
-      lock.Lock();
-      if (rescued) continue;
-      if (run.next_commit != rank && !run.halted) run.turn_cv.Wait(lock);
-    }
+    while (run.next_commit != rank && !run.halted) run.turn_cv.Wait(lock);
     if (run.halted) {
       lock.Unlock();
       ReleaseAll(run, ticket);
@@ -543,19 +418,11 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
         // flow through the (possibly durable) commit path.
         run.speculation_aborts.fetch_add(1, std::memory_order_relaxed);
         candidate.clear();
-        std::unique_ptr<cluster::Registry> scratch = run.registry->Snapshot();
-        const cluster::ClusterId first_new = scratch->cluster_count();
-        cluster::DistributedTConnClusterer clusterer(graph_, service.k,
-                                                     scratch.get());
-        auto recomputed = clusterer.ClusterFor(host);
+        auto recomputed = ClusterOnSnapshot(run, host, nullptr, &candidate);
         if (!recomputed.ok()) {
           commit_status = recomputed.status();
         } else {
-          involved = recomputed.value().involved_users;
-          for (cluster::ClusterId id = first_new;
-               id < scratch->cluster_count(); ++id) {
-            candidate.push_back(scratch->info(id));
-          }
+          involved = recomputed.value();
         }
       } else {
         involved = spec_involved;
@@ -630,8 +497,6 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
     }
   }
 
-  record.host = host;
-  record.ordinal = ordinal;
   if (!commit_status.ok()) {
     ReleaseAll(run, ticket);
     ctx.trace().Record("cluster", commit_status.code(),
@@ -661,10 +526,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
         latch.waiters.erase(ordinal);
         break;
       }
-      lock.Unlock();
-      const bool rescued = TryRescue(run, rank);
-      lock.Lock();
-      if (!rescued && !run.halted) run.region_cv.Wait(lock);
+      run.region_cv.Wait(lock);
     }
     if (run.halted) {
       lock.Unlock();
@@ -697,14 +559,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   // (written only now, after the outcome is fully resolved).
   auto append = [&](const char* stage, util::StatusCode code, bool ran,
                     std::string detail) {
-    core::StageRecord stage_record;
-    stage_record.stage = stage;
-    stage_record.code = code;
-    stage_record.ran = ran;
-    stage_record.detail = std::move(detail);
-    ctx.trace().Record(stage_record.stage, stage_record.code,
-                       stage_record.detail);
-    state.outcome.degradation.stages.push_back(std::move(stage_record));
+    AppendStage(ctx, &state.outcome, stage, code, ran, std::move(detail));
   };
 
   util::Status status;
@@ -827,24 +682,6 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     return util::InvalidArgumentError(
         "recovered registry population does not match the dataset");
   }
-  const bool baseline_mechanism =
-      service.mechanism != audit::MechanismFamily::kClusterBound;
-  if (baseline_mechanism &&
-      (!config_.durability_dir.empty() || service.checkpoint_interval > 0)) {
-    return util::InvalidArgumentError(
-        "baseline mechanisms write no registry state; durability does not "
-        "compose with them");
-  }
-  if (baseline_mechanism && service.stall_ordinal != kNoStallOrdinal) {
-    return util::InvalidArgumentError(
-        "stall injection targets the claim/turnstile machinery, which "
-        "baseline mechanisms bypass");
-  }
-  if (baseline_mechanism && !service.fault_plan.process_crashes.empty()) {
-    return util::InvalidArgumentError(
-        "process crash points are commit/WAL/checkpoint events, which "
-        "baseline mechanisms never reach");
-  }
 
   RunState run(dataset_, config_.shards);
   run.sharded = registry != nullptr
@@ -859,16 +696,12 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     util::MutexLock lock(run.mu);
     run.checkpoint_seq = checkpoint_seq_start;
   }
-  if (service.with_network) {
-    run.network = std::make_unique<net::Network>(user_count);
-    const net::FaultPlan& plan = service.fault_plan;
-    if (plan.loss_probability > 0.0 || plan.latency.enabled() ||
-        !plan.crashes.empty()) {
-      const util::Status installed = run.network->InstallFaultPlan(plan);
-      if (!installed.ok()) return installed;
-    }
-    if (service.tap != nullptr) run.network->SetTap(service.tap);
-  }
+  // An empty fault plan installs a fault-free network.
+  run.network = std::make_unique<net::Network>(user_count);
+  const util::Status installed =
+      run.network->InstallFaultPlan(service.fault_plan);
+  if (!installed.ok()) return installed;
+  run.network->SetTap(service.tap);
   if (!service.fault_plan.process_crashes.empty()) {
     run.crash = std::make_unique<durability::CrashPointScheduler>(
         service.fault_plan.process_crashes);
@@ -885,50 +718,30 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
         std::make_unique<ShardedRegionWriter>(run.durable.get());
   }
 
-  if (baseline_mechanism) {
-    // One shared, stateless mechanism instance: Cloak is thread-safe on
-    // distinct contexts, and all its randomness comes from each request's
-    // private sub-stream.
-    auto made = mechanisms::MakeMechanism(service.mechanism, dataset_,
-                                          run.network.get(), service.k,
-                                          service.mechanism_params);
-    if (!made.ok()) return made.status();
-    run.mechanism = std::move(made).value();
-  }
-
   util::Rng workload_rng(service.workload_seed);
-  run.hosts = SampleWorkload(user_count, service.requests, workload_rng);
+  const std::vector<data::UserId> hosts =
+      SampleWorkload(user_count, service.requests, workload_rng);
   run.records.resize(service.requests);
   run.delivered.assign(service.requests, 0);
   run.home_of.resize(service.requests);
   for (uint64_t ordinal = 0; ordinal < service.requests; ++ordinal) {
-    run.records[ordinal].host = run.hosts[ordinal];
+    run.records[ordinal].host = hosts[ordinal];
     run.records[ordinal].ordinal = ordinal;
-    run.home_of[ordinal] = run.map.HomeShardOf(run.hosts[ordinal]);
+    run.home_of[ordinal] = run.map.HomeShardOf(hosts[ordinal]);
   }
 
   AdmitWorkload(run);
-  if (service.stall_ordinal != kNoStallOrdinal &&
-      run.commit_rank.find(service.stall_ordinal) == run.commit_rank.end()) {
-    return util::InvalidArgumentError(
-        "stall_ordinal names a request that was not admitted");
-  }
   // Tickets carry the GLOBAL wound-wait priority (admission rank), and
   // every shard's coordinator registers the same ticket for the same
   // request -- claim conflicts resolve in arrival order wherever the
-  // contested user is homed. Baseline mechanisms never claim, so their
-  // runs skip the ticket space entirely.
-  for (uint64_t ordinal :
-       run.mechanism == nullptr ? run.admitted_ordinals
-                                : std::vector<uint64_t>{}) {
-    const cluster::Ticket ticket =
-        static_cast<cluster::Ticket>(run.commit_rank.at(ordinal) + 1);
+  // contested user is homed.
+  for (uint64_t rank = 0; rank < run.admitted_ordinals.size(); ++rank) {
+    const auto ticket = static_cast<cluster::Ticket>(rank + 1);
     for (std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
          run.coordinators) {
       const cluster::Ticket opened = coordinator->OpenRequestAt(ticket);
       NELA_CHECK_EQ(opened, ticket);
     }
-    run.tickets.emplace(ordinal, ticket);
   }
 
   const uint32_t thread_count = std::max(1u, service.threads);
@@ -939,12 +752,10 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
         util::MutexLock lock(run.mu);
         if (run.halted) break;
       }
-      const uint64_t index =
+      const uint64_t rank =
           run.next_work.fetch_add(1, std::memory_order_relaxed);
-      if (index >= run.admitted_ordinals.size()) break;
-      const uint64_t ordinal = run.admitted_ordinals[index];
-      const util::Status status =
-          ProcessRequest(run, ordinal, /*allow_stall=*/true);
+      if (rank >= run.admitted_ordinals.size()) break;
+      const util::Status status = ProcessRequest(run, rank);
       if (!status.ok()) {
         util::MutexLock lock(run.mu);
         if (run.first_error.ok()) run.first_error = status;
@@ -952,17 +763,11 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     }
   };
   // All workers run on the shared fork-join pool; worker identity is
-  // irrelevant (ordinals come from the atomic counter and commits are
+  // irrelevant (ranks come from the atomic counter and commits are
   // serialized by the turnstile), so the digest stays bit-identical at any
   // thread count.
   util::ThreadPool pool(thread_count);
   pool.RunOnAllThreads([&worker](uint32_t) { worker(); });
-
-  // Safety net: a request parked near the end of the workload may have no
-  // younger request left to rescue it (every later worker already exited).
-  // The main thread plays watchdog until the lot is empty.
-  while (TryRescue(run, ~0ull)) {
-  }
 
   const double wall_seconds = wall_timer.ElapsedSeconds();
 
@@ -984,9 +789,13 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     const net::ProcessCrashPoint point =
         crash_point.value_or(net::ProcessCrashPoint::kPreCommit);
     for (uint64_t ordinal : run.admitted_ordinals) {
-      if (run.delivered[ordinal] == 0) {
-        FillCrashAbortRecord(run, ordinal, point);
-      }
+      if (run.delivered[ordinal] != 0) continue;
+      run.records[ordinal].aborted_by_crash = true;
+      FillUnservedRecord(
+          run, ordinal, "service", util::StatusCode::kUnavailable,
+          std::string("aborted by simulated process crash at ") +
+              net::ProcessCrashPointName(point) +
+              "; durable state recovers on restart");
     }
   } else if (!first_error.ok()) {
     return first_error;
@@ -1009,8 +818,6 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
       run.speculation_aborts.load(std::memory_order_relaxed);
   result.speculation_retries =
       run.speculation_retries.load(std::memory_order_relaxed);
-  result.watchdog_requeues =
-      run.watchdog_requeues.load(std::memory_order_relaxed);
   if (run.durable != nullptr) {
     result.wal_records = run.durable->wal_records();
   }
@@ -1020,6 +827,7 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   sharded_result.shards.resize(shard_count);
   std::vector<std::vector<double>> shard_waits(shard_count);
   std::vector<double> queue_waits;
+  std::vector<double> latencies;
   for (const ServiceRequestRecord& record : result.records) {
     ShardRunStats& stats = sharded_result.shards[run.home_of[record.ordinal]];
     ++stats.requests_routed;
@@ -1037,17 +845,21 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
       queue_waits.push_back(record.queue_wait_ms);
       shard_waits[run.home_of[record.ordinal]].push_back(
           record.queue_wait_ms);
-      if (record.aborted_by_crash) ++result.aborted_by_crash;
+      if (record.aborted_by_crash) {
+        ++result.aborted_by_crash;
+      } else {
+        latencies.push_back(record.wall_ms);
+      }
     }
   }
-  std::sort(queue_waits.begin(), queue_waits.end());
-  result.p50_queue_wait_ms = PercentileMs(queue_waits, 50.0);
-  result.p99_queue_wait_ms = PercentileMs(queue_waits, 99.0);
+  result.p50_queue_wait_ms = util::Percentile(queue_waits, 0.50);
+  result.p99_queue_wait_ms = util::Percentile(queue_waits, 0.99);
+  result.p50_latency_ms = util::Percentile(latencies, 0.50);
+  result.p99_latency_ms = util::Percentile(latencies, 0.99);
 
   // Outcome digest: an FNV-1a fold of every request's outcome facts in
-  // ordinal order. Unlike the registry digest it also witnesses baseline
-  // mechanisms (whose registry stays empty), so the cross-thread-count
-  // determinism assertion is one identity for every mechanism.
+  // ordinal order -- what each requester was served, including shed and
+  // degraded requests that leave no trace in the registry digest.
   uint64_t outcome_digest = 14695981039346656037ull;
   const auto fold = [&outcome_digest](uint64_t value) {
     outcome_digest ^= value;
@@ -1058,12 +870,11 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     fold(record.host);
     fold(record.admitted ? 1u : 0u);
     fold(record.outcome.anonymity_satisfied ? 1u : 0u);
-    const geo::Rect& region = record.outcome.region;
-    if (!region.empty()) {
-      fold(util::DoubleBits(region.min_x()));
-      fold(util::DoubleBits(region.min_y()));
-      fold(util::DoubleBits(region.max_x()));
-      fold(util::DoubleBits(region.max_y()));
+    const geo::Rect& r = record.outcome.region;
+    if (!r.empty()) {
+      for (double edge : {r.min_x(), r.min_y(), r.max_x(), r.max_y()}) {
+        fold(util::DoubleBits(edge));
+      }
     }
     for (const geo::Point& probe : record.outcome.probes) {
       fold(util::DoubleBits(probe.x));
@@ -1076,15 +887,13 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   result.registry_digest = run.registry->Digest();
   const uint32_t clusters = run.registry->cluster_count();
   result.clusters_formed = clusters;
-  std::vector<uint32_t> membership_count(user_count, 0);
+  std::vector<bool> clustered(user_count, false);
+  result.reciprocity_ok = true;
   for (cluster::ClusterId id = 0; id < clusters; ++id) {
     for (graph::VertexId member : run.registry->info(id).members) {
-      ++membership_count[member];
+      if (clustered[member]) result.reciprocity_ok = false;
+      clustered[member] = true;
     }
-  }
-  result.reciprocity_ok = true;
-  for (uint32_t count : membership_count) {
-    if (count > 1) result.reciprocity_ok = false;
   }
 
   // Per-shard slice accounting and the shard-count-invariance digests.
@@ -1106,20 +915,9 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
       stats.wal_records = run.durable->wal_records_for(shard);
     }
     stats.shard_digest = run.sharded->ShardDigest(shard);
-    std::sort(shard_waits[shard].begin(), shard_waits[shard].end());
-    stats.p50_queue_wait_ms = PercentileMs(shard_waits[shard], 50.0);
-    stats.p99_queue_wait_ms = PercentileMs(shard_waits[shard], 99.0);
+    stats.p50_queue_wait_ms = util::Percentile(shard_waits[shard], 0.50);
+    stats.p99_queue_wait_ms = util::Percentile(shard_waits[shard], 0.99);
   }
-
-  std::vector<double> latencies;
-  for (const ServiceRequestRecord& record : result.records) {
-    if (record.admitted && !record.aborted_by_crash) {
-      latencies.push_back(record.wall_ms);
-    }
-  }
-  std::sort(latencies.begin(), latencies.end());
-  result.p50_latency_ms = PercentileMs(latencies, 50.0);
-  result.p99_latency_ms = PercentileMs(latencies, 99.0);
   return sharded_result;
 }
 

@@ -73,11 +73,13 @@
 //    halts as a real crash would (workers unwind, unfinished requests are
 //    reported as crash aborts, on-disk state is left exactly as the crash
 //    point dictates -- including a torn WAL record or checkpoint).
-//  * Watchdog -- a worker that stalls while holding claims (stall_ordinal,
-//    test-only) is detected by whichever request its stall blocks; the
-//    detector rolls the stalled ticket's claims back and re-executes the
-//    request inline from a fresh context, so the result -- and the digest
-//    -- is as if the stall never happened.
+//  * Progress -- there is no watchdog: every wait (a claim retry, the
+//    turnstile, a region latch) is on an OLDER request, and the oldest
+//    unfinished request never waits, so the run always drains.
+//
+// The driver serves only the native clustering + secure-bounding scheme
+// (the paper's Fig. 3). Baseline mechanisms are compared separately, via
+// mechanisms::RunCampaign.
 
 #ifndef NELA_SIM_SHARDED_SERVICE_DRIVER_H_
 #define NELA_SIM_SHARDED_SERVICE_DRIVER_H_
@@ -90,7 +92,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/leak_contract.h"
 #include "cluster/concurrency.h"
 #include "cluster/registry.h"
 #include "cluster/shard_map.h"
@@ -99,16 +100,12 @@
 #include "data/dataset.h"
 #include "durability/sharded_recovery.h"
 #include "graph/wpg.h"
-#include "mechanisms/factory.h"
 #include "net/accounting.h"
 #include "net/fault_plan.h"
 #include "net/network.h"
 #include "util/status.h"
 
 namespace nela::sim {
-
-// Sentinel: no stall injection.
-inline constexpr uint64_t kNoStallOrdinal = ~0ull;
 
 struct ServiceConfig {
   // --- Workload -----------------------------------------------------------
@@ -124,19 +121,6 @@ struct ServiceConfig {
   uint64_t master_seed = 1;
   // Seed selecting which hosts issue requests.
   uint64_t workload_seed = 7;
-  // Attach a shared fault-free network so phase-2 traffic is accounted
-  // per request (scoped) and globally.
-  bool with_network = true;
-
-  // --- Mechanism ---------------------------------------------------------
-  // Which privacy mechanism serves the requests. kClusterBound is the
-  // native clustering+bounding pipeline with all the machinery below; any
-  // other family runs the corresponding baseline through MechanismStage --
-  // requests are independent (no clustering, claims, commit turnstile, or
-  // registry writes), so the mode composes with admission, the fault plan,
-  // and the observer tap, but not with durability or stall injection.
-  audit::MechanismFamily mechanism = audit::MechanismFamily::kClusterBound;
-  mechanisms::MechanismParams mechanism_params;
 
   // --- Admission / overload ---------------------------------------------
   // Mean arrivals per simulated millisecond (Poisson process). 0 disables
@@ -164,14 +148,10 @@ struct ServiceConfig {
 
   // --- Chaos -------------------------------------------------------------
   // Network faults (loss/latency/node crashes) plus process_crashes, the
-  // scheduled process-level crash points consumed by this driver.
+  // scheduled process-level crash points consumed by this driver. The
+  // driver always attaches one shared network, so phase-2 traffic is
+  // accounted per request (scoped) and globally.
   net::FaultPlan fault_plan;
-
-  // --- Watchdog (test-only) ---------------------------------------------
-  // The request with this ordinal parks after speculation, still holding
-  // its claims, and must be rescued by the watchdog path. kNoStallOrdinal
-  // disables injection.
-  uint64_t stall_ordinal = kNoStallOrdinal;
 
   // Observer for every network message (e.g. the exposure audit); not
   // owned, may be null.
@@ -220,9 +200,9 @@ struct ServiceResult {
   // across thread counts and shard counts for the same seeds.
   uint64_t registry_digest = 0;
   // FNV fold of every request's outcome facts in ordinal order (host,
-  // admission, satisfaction, region and probe coordinate bits): the
-  // determinism witness that works for every mechanism, including
-  // baselines that never touch the registry.
+  // admission, satisfaction, region and probe coordinate bits): a
+  // determinism witness over what each requester was served, next to the
+  // registry digest's witness over the cluster state.
   uint64_t outcome_digest = 0;
   // Every user ended up in at most one cluster (must always hold).
   bool reciprocity_ok = false;
@@ -245,9 +225,6 @@ struct ServiceResult {
   bool crashed = false;
   std::optional<net::ProcessCrashPoint> crash_point;
 
-  // Watchdog accounting: stalled requests rolled back and re-executed.
-  uint64_t watchdog_requeues = 0;
-
   // Contention statistics (scheduling-dependent).
   uint64_t claim_conflicts = 0;
   uint64_t claim_wounds = 0;
@@ -266,7 +243,7 @@ struct ServiceResult {
 };
 
 struct ShardedServiceConfig {
-  // Workload, mechanism, admission, chaos, and checkpoint-cadence knobs.
+  // Workload, admission, chaos, and checkpoint-cadence knobs.
   ServiceConfig service;
   // Spatial shard count K (>= 1).
   uint32_t shards = 1;
@@ -346,19 +323,21 @@ class ShardedServiceDriver {
       std::unordered_map<cluster::ClusterId, uint32_t> stream_of,
       bool truncate_wal, uint64_t checkpoint_seq_start);
 
-  [[nodiscard]] util::Status ProcessRequest(RunState& run, uint64_t ordinal,
-                                            bool allow_stall);
-  // Baseline-mechanism path: one independent MechanismStage pipeline per
-  // request -- no speculation, claims, turnstile, or registry writes.
-  [[nodiscard]] util::Status ProcessMechanismRequest(RunState& run,
-                                                     uint64_t ordinal);
-  bool TryRescue(RunState& run, uint64_t max_rank);
+  // Serves the admitted request of admission rank `rank`.
+  [[nodiscard]] util::Status ProcessRequest(RunState& run, uint64_t rank);
+  // Phase 1 for `host` on a private snapshot of the registry (its version
+  // goes to `version` when non-null): appends the clusters a commit would
+  // register to `candidate` and returns the involved-user count. A host
+  // the snapshot already clusters yields nothing.
+  [[nodiscard]] util::Result<uint64_t> ClusterOnSnapshot(
+      RunState& run, data::UserId host, uint64_t* version,
+      std::vector<cluster::ClusterInfo>* candidate);
   void AdmitWorkload(RunState& run);
-  void FillShedRecord(RunState& run, uint64_t ordinal, ShedCause cause,
-                      double arrival_ms, double queue_wait_ms,
-                      uint32_t occupancy);
-  void FillCrashAbortRecord(RunState& run, uint64_t ordinal,
-                            net::ProcessCrashPoint point);
+  // Delivers a request the pipeline never served (shed at admission, or
+  // aborted by a crash) as a structured degradation with one stage record.
+  void FillUnservedRecord(RunState& run, uint64_t ordinal,
+                          const char* stage_name, util::StatusCode code,
+                          std::string detail);
 
   // Cross-shard claim handoff: claims `members` for `ticket` home-shard-
   // first then ascending, releasing everything on any failure.

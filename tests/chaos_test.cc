@@ -538,6 +538,25 @@ TEST(ChaosSimTest, LossOnlyWorkloadMatchesCleanNetworkOutcomes) {
   EXPECT_GE(r.avg_achieved_anonymity, 5.0);
 }
 
+TEST(ChaosSimTest, EveryRunIsAuditedForExposure) {
+  // The adversary observer watches every message of every chaos run --
+  // retransmissions and messages to crashed nodes included -- and the
+  // failure paths leak nothing.
+  const sim::Scenario scenario = BuildChaosScenario();
+  sim::ChaosExperimentConfig config;
+  config.k = 5;
+  config.requests = 30;
+  config.loss_probability = 0.05;
+  config.churn_rate = 0.01;
+  config.churn_attempt_spacing = 500;
+  auto result = sim::RunChaosExperiment(scenario, config);
+  ASSERT_TRUE(result.ok());
+  const sim::ChaosExperimentResult& r = result.value();
+  EXPECT_GT(r.delivered_messages, 0u);
+  EXPECT_GE(r.audited_messages, r.delivered_messages);
+  EXPECT_EQ(r.exposure_violations, 0u);
+}
+
 TEST(ChaosSimTest, SameSeedReproducesBitIdentically) {
   const sim::Scenario scenario = BuildChaosScenario();
   sim::ChaosExperimentConfig config;

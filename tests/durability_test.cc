@@ -6,8 +6,10 @@
 // own write path (ShardedDurableRegistry) with one stream, the K=1 case.
 
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -117,6 +119,25 @@ TEST(WalRecordTest, SetRegionRecordRoundTripsBitExactly) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().cluster_id, 12u);
   EXPECT_EQ(decoded.value().region, record.region);
+}
+
+TEST(WalRecordTest, SetRegionNoRectangleCanHoldIsRejected) {
+  WalRecord record;
+  record.lsn = 4;
+  record.type = WalRecordType::kSetRegion;
+  record.region = geo::Rect(0.25, 0.25, 0.5, 0.5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // (edge, value): edges 0-3 are min_x, min_y, max_x, max_y.
+  for (const auto& [edge, value] : {std::pair{0, 0.75}, std::pair{1, 0.75},
+                                    std::pair{0, nan}, std::pair{3, nan}}) {
+    std::string payload = EncodeWalRecord(record);
+    // [u64 lsn][u8 type][u32 cluster_id] precede the edges, little-endian.
+    const uint64_t bits = util::DoubleBits(value);
+    for (int i = 0; i < 8; ++i) {
+      payload[8 + 1 + 4 + 8 * edge + i] = static_cast<char>(bits >> (8 * i));
+    }
+    EXPECT_FALSE(DecodeWalRecord(payload).ok()) << edge << " " << value;
+  }
 }
 
 TEST(WalRecordTest, TruncatedPayloadIsRejected) {

@@ -1,12 +1,15 @@
 // Baseline-mechanism tests (ctest label: mechanisms).
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //  1. unit semantics of each baseline (grid cell shape/occupancy, geo-ind
 //     noise actually applied, DLS candidate-set shape and entropy pool);
 //  2. the leak-contract matrix: every honest mechanism runs under the
 //     AdversaryObserver chained with its family's LeakContractChecker and
 //     must come out exactly as clean as its declared contract allows;
-//  3. a deliberately-leaky mutant per mechanism (NELA_TEST_LEAKY_VARIANT)
+//  3. the Mechanism::Cloak thread-safety contract: concurrent calls on
+//     distinct contexts reproduce the in-order outcomes bit for bit (the
+//     TSan `-L mechanisms` lane runs it as a race check too);
+//  4. a deliberately-leaky mutant per mechanism (NELA_TEST_LEAKY_VARIANT)
 //     proving the detector actually fires -- each mutant trips the checker
 //     or the taint scan while its honest twin, under identical scrutiny,
 //     stays clean.
@@ -15,11 +18,13 @@
 // only in this translation unit; the library never ships one.
 #define NELA_TEST_LEAKY_VARIANT 1
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,8 +51,10 @@
 #include "mechanisms/grid_cloak.h"
 #include "net/network.h"
 #include "scenario_fixtures.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace nela::mechanisms {
 namespace {
@@ -317,6 +324,71 @@ TEST(ComparativeCampaignTest, DeterministicUnderSameSeeds) {
   EXPECT_EQ(a.value().mean_query_cost, b.value().mean_query_cost);
   EXPECT_EQ(a.value().mean_candidate_count, b.value().mean_candidate_count);
   EXPECT_EQ(a.value().messages_on_wire, b.value().messages_on_wire);
+}
+
+// ------------------------------------------------------ concurrent Cloak
+
+// One request's deterministic facts: satisfied, then the region's edge bits
+// (if any), then every probe's coordinate bits.
+std::vector<uint64_t> OutcomeBits(const core::MechanismOutcome& outcome) {
+  std::vector<uint64_t> bits = {outcome.satisfied ? 1u : 0u};
+  const geo::Rect& r = outcome.region;
+  if (!r.empty()) {
+    for (double edge : {r.min_x(), r.min_y(), r.max_x(), r.max_y()}) {
+      bits.push_back(util::DoubleBits(edge));
+    }
+  }
+  for (const geo::Point& probe : outcome.probes) {
+    bits.push_back(util::DoubleBits(probe.x));
+    bits.push_back(util::DoubleBits(probe.y));
+  }
+  return bits;
+}
+
+// Mechanism::Cloak must be safe to call concurrently on distinct contexts,
+// with every draw from the request's own (master_seed, ordinal) sub-stream.
+// Each baseline serves the same ordinals in order, then from ThreadPool
+// workers at 4 and 8 threads on one shared instance and network: every
+// ordinal's region, probe bits and satisfaction must match the in-order
+// run, and the audit stack must stay clean in every run.
+TEST(MechanismConcurrencyTest, ConcurrentCloakMatchesInOrderPerOrdinal) {
+  SmallWorld world = MakeWorld(61);
+  constexpr uint64_t kRequests = 96;
+  for (audit::MechanismFamily family :
+       {audit::MechanismFamily::kGridCloak, audit::MechanismFamily::kGeoInd,
+        audit::MechanismFamily::kDummyLocations}) {
+    const char* name = audit::MechanismFamilyName(family);
+    std::vector<std::vector<uint64_t>> in_order;
+    for (uint32_t threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      net::Network network(world.dataset.size());
+      AuditStack audit(world.dataset, family, kK, &network,
+                       family == audit::MechanismFamily::kGridCloak);
+      auto made = MakeMechanism(family, world.dataset, &network, kK, {});
+      ASSERT_TRUE(made.ok());
+      std::vector<std::vector<uint64_t>> served(kRequests);
+      // The in-order run is the 1-thread pool: worker 0 is the caller.
+      std::atomic<uint64_t> next{0};
+      util::ThreadPool pool(threads);
+      pool.RunOnAllThreads([&](uint32_t) {
+        for (uint64_t ordinal = next++; ordinal < kRequests; ordinal = next++) {
+          const auto host =
+              static_cast<data::UserId>(ordinal * 7 % world.dataset.size());
+          served[ordinal] =
+              OutcomeBits(MustCloak(*made.value(), 77, ordinal, host));
+        }
+      });
+      network.SetTap(nullptr);
+      audit.checker->Finalize();
+      EXPECT_TRUE(audit.observer->clean()) << audit.observer->Report();
+      EXPECT_TRUE(audit.checker->clean()) << audit.checker->Report();
+      if (threads == 1) in_order = served;
+      EXPECT_EQ(served, in_order);
+    }
+    uint64_t satisfied = 0;
+    for (const std::vector<uint64_t>& bits : in_order) satisfied += bits[0];
+    EXPECT_GT(satisfied, 0u) << name;
+  }
 }
 
 #if NELA_TEST_LEAKY_VARIANT

@@ -1,12 +1,15 @@
 // Per-shard recovery: a clean multi-shard run recovers to its final
 // registry (serially and in parallel, whole or one shard at a time), and
 // recovery refuses hostile directory contents -- a checksum-valid WAL
-// frame that does not decode, or checkpoint files with non-canonical
-// names. The crash matrix lives in recovery_kill_anywhere_test.
+// frame that does not decode, a checkpoint whose region cannot decode, or
+// checkpoint files with non-canonical names. The crash matrix lives in
+// recovery_kill_anywhere_test.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -180,58 +183,143 @@ std::string ChecksumValidFrame(const std::string& payload) {
   return frame + payload;
 }
 
+// Overwrites the 8 bytes at `offset` with the bit pattern of `value`.
+void PatchDouble(std::string* bytes, size_t offset, double value) {
+  std::string bits;
+  PutLe(&bits, util::DoubleBits(value), 8);
+  bytes->replace(offset, 8, bits);
+}
+
+// A checksum-valid frame around a batch payload whose type byte (after the
+// u64 lsn) is replaced by `type`.
+std::string RetypedBatchFrame(uint64_t lsn, uint8_t type) {
+  durability::WalRecord batch;
+  batch.lsn = lsn;
+  batch.clusters = {{{6, 7, 8, 9, 10}, 0.5, true}};
+  std::string payload = durability::EncodeWalRecord(batch);
+  payload[8] = static_cast<char>(type);
+  return ChecksumValidFrame(payload);
+}
+
+// Opens a one-shard stream under `dir` over `registry` and commits cluster
+// 0 (users 1-5) as lsn 1.
+std::unique_ptr<durability::ShardedDurableRegistry> OneCommitStream(
+    const std::string& dir, cluster::Registry* registry) {
+  auto durable = durability::ShardedDurableRegistry::Open(
+      registry, dir, 1, nullptr, {1}, {}, /*truncate=*/true);
+  NELA_CHECK(durable.ok());
+  cluster::ClusterInfo info;
+  info.members = {1, 2, 3, 4, 5};
+  info.connectivity = 0.5;
+  NELA_CHECK(durable.value()->RegisterBatch(0, {info}).ok());
+  return std::move(durable).value();
+}
+
 // A checksum-valid frame can only come from a complete append, so one that
-// does not decode (a retired or unknown type byte) is corruption, not a
-// torn tail: reading, truncating and recovering must all fail and leave the
-// stream byte-identical -- never cut it back and drop the intact commit
-// logged after the bad frame.
+// does not decode (a retired or unknown type byte, or region bytes no
+// rectangle can hold: min > max or a NaN coordinate) is corruption, not a
+// torn tail: reading, truncating and recovering must all fail -- never
+// abort -- and leave the stream byte-identical, never cut it back and drop
+// the intact commit logged after the bad frame.
 TEST(ShardedRecoveryTest, ChecksumValidUndecodableFrameIsAnError) {
   const uint32_t user_count = SharedScenario().dataset.size();
-  for (const uint8_t type : {uint8_t{1}, uint8_t{9}}) {
-    const std::string dir =
-        FreshCaseDir("undecodable_type" + std::to_string(type));
+  durability::WalRecord region;
+  region.type = durability::WalRecordType::kSetRegion;
+  region.cluster_id = 0;
+  region.region = geo::Rect(0.25, 0.25, 0.5, 0.5);
+  region.lsn = 2;
+  // Offset of min_x: [u64 lsn][u8 type][u32 cluster_id][4 x u64 rect].
+  constexpr size_t kMinX = 8 + 1 + 4;
+  std::string inverted = durability::EncodeWalRecord(region);
+  PatchDouble(&inverted, kMinX, 0.75);
+  std::string nan = durability::EncodeWalRecord(region);
+  PatchDouble(&nan, kMinX + 8, std::numeric_limits<double>::quiet_NaN());
+  const std::pair<std::string, std::string> cases[] = {
+      {"type1", RetypedBatchFrame(2, 1)},
+      {"type9", RetypedBatchFrame(2, 9)},
+      {"inverted_region", ChecksumValidFrame(inverted)},
+      {"nan_region", ChecksumValidFrame(nan)}};
+
+  for (const auto& [name, frame] : cases) {
+    const std::string dir = FreshCaseDir("undecodable_" + name);
     const std::string stream_path = durability::ShardWalPath(dir, 0);
     {
       cluster::Registry registry(user_count);
-      auto durable = durability::ShardedDurableRegistry::Open(
-          &registry, dir, 1, nullptr, {1}, {}, /*truncate=*/true);
-      ASSERT_TRUE(durable.ok()) << durable.status().ToString();
-      cluster::ClusterInfo info;
-      info.members = {1, 2, 3, 4, 5};
-      info.connectivity = 0.5;
-      ASSERT_TRUE(durable.value()->RegisterBatch(0, {info}).ok());
+      OneCommitStream(dir, &registry);
     }
-    // lsn 2: a batch payload whose type byte (after the u64 lsn) is
-    // replaced, framed with a correct checksum.
-    durability::WalRecord batch;
-    batch.lsn = 2;
-    batch.clusters = {{{6, 7, 8, 9, 10}, 0.5, true}};
-    std::string payload = durability::EncodeWalRecord(batch);
-    payload[8] = static_cast<char>(type);
-    AppendBytes(stream_path, ChecksumValidFrame(payload));
+    AppendBytes(stream_path, frame);
     {
       auto writer =
           durability::WalWriter::Open(stream_path, /*truncate=*/false);
       ASSERT_TRUE(writer.ok());
-      durability::WalRecord region;
       region.lsn = 3;
-      region.type = durability::WalRecordType::kSetRegion;
-      region.cluster_id = 0;
-      region.region = geo::Rect(0.25, 0.25, 0.5, 0.5);
       ASSERT_TRUE(writer.value()->Append(region).ok());
     }
     const std::string before = ReadBytes(stream_path);
 
-    EXPECT_FALSE(durability::ReadWal(stream_path).ok()) << "type " << +type;
-    EXPECT_FALSE(durability::TruncateTornTail(stream_path).ok())
-        << "type " << +type;
-    EXPECT_FALSE(durability::RecoverShard(dir, 0, user_count).ok())
-        << "type " << +type;
+    EXPECT_FALSE(durability::ReadWal(stream_path).ok()) << name;
+    EXPECT_FALSE(durability::TruncateTornTail(stream_path).ok()) << name;
+    EXPECT_FALSE(durability::RecoverShard(dir, 0, user_count).ok()) << name;
     EXPECT_FALSE(durability::RecoverAllShards(dir, 1, user_count).ok())
-        << "type " << +type;
+        << name;
     EXPECT_EQ(ReadBytes(stream_path), before)
-        << "a failed recovery modified the stream (type " << +type << ")";
+        << "a failed recovery modified the stream (" << name << ")";
   }
+}
+
+// The checkpoint side of the same rule: a checksum-valid checkpoint whose
+// region bytes no rectangle can hold is rejected like a torn one, and
+// recovery falls back to the previous checkpoint plus WAL replay.
+TEST(ShardedRecoveryTest, CheckpointWithHostileRegionFallsBackToPrevious) {
+  const uint32_t user_count = SharedScenario().dataset.size();
+  const geo::Rect good(0.25, 0.25, 0.5, 0.5);
+  for (const double bad : {0.75, std::numeric_limits<double>::quiet_NaN()}) {
+    const std::string dir = FreshCaseDir("hostile_checkpoint_region");
+    {
+      cluster::Registry registry(user_count);
+      auto durable = OneCommitStream(dir, &registry);
+      ASSERT_TRUE(durable->CheckpointAll(1).ok());
+      ASSERT_TRUE(durable->SetRegion(0, good).ok());
+      ASSERT_TRUE(durable->CheckpointAll(2).ok());
+    }
+    // checkpoint-2 ends with the region's 32 bytes and the checksum; patch
+    // min_x and re-seal, so only the decoder can reject the file.
+    const std::string path = durability::CheckpointPath(
+        durability::ShardCheckpointDir(dir, 0), 2);
+    std::string body = ReadBytes(path);
+    body.resize(body.size() - 8);
+    PatchDouble(&body, body.size() - 32, bad);
+    PutLe(&body, util::FnvHashBytes(body.data(), body.size()), 8);
+    ASSERT_TRUE(durability::WriteCheckpointFile(path, body).ok());
+
+    EXPECT_FALSE(durability::ReadShardCheckpoint(path).ok());
+    auto recovered = durability::RecoverShard(dir, 0, user_count);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value().checkpoints_rejected, 1u);
+    EXPECT_EQ(recovered.value().checkpoint_seq, 1u);
+    ASSERT_EQ(recovered.value().clusters.size(), 1u);
+    EXPECT_EQ(recovered.value().clusters[0].info.region, good);
+  }
+}
+
+// Parallel recovery (one chunk per shard on the pool) reports a failing
+// shard exactly as serial recovery does, and leaves its stream untouched.
+TEST(ShardedRecoveryTest, ParallelRecoveryReportsAFailingShard) {
+  const std::string dir = FreshCaseDir("parallel_failing_shard");
+  ASSERT_FALSE(MustRun(DurableConfig(4, dir)).service.crashed);
+  const std::string stream_path = durability::ShardWalPath(dir, 2);
+  AppendBytes(stream_path, RetypedBatchFrame(1000, 9));
+  const std::string before = ReadBytes(stream_path);
+
+  const uint32_t user_count = SharedScenario().dataset.size();
+  util::ThreadPool pool(4);
+  auto serial = durability::RecoverAllShards(dir, kShards, user_count);
+  auto parallel =
+      durability::RecoverAllShards(dir, kShards, user_count, &pool);
+  ASSERT_FALSE(serial.ok());
+  ASSERT_FALSE(parallel.ok());
+  EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
+  EXPECT_EQ(ReadBytes(stream_path), before);
 }
 
 // Checkpoint discovery accepts only the names CheckpointPath() writes: a

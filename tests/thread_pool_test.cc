@@ -68,42 +68,6 @@ TEST(ThreadPoolTest, ReusableAcrossManyDispatches) {
   EXPECT_EQ(sum.load(), 100u * (1 + 2 + 3));
 }
 
-TEST(ThreadPoolTest, BlockPartitionIsContiguousAndComplete) {
-  ThreadPool pool(3);
-  for (const uint64_t n : {0ull, 1ull, 2ull, 3ull, 7ull, 100ull}) {
-    EXPECT_EQ(pool.BlockBegin(0, n), 0u);
-    EXPECT_EQ(pool.BlockBegin(3, n), n);
-    for (uint32_t w = 0; w < 3; ++w) {
-      EXPECT_LE(pool.BlockBegin(w, n), pool.BlockBegin(w + 1, n));
-      // Balanced: blocks differ in size by at most one element.
-      const uint64_t size = pool.BlockBegin(w + 1, n) - pool.BlockBegin(w, n);
-      EXPECT_LE(size, n / 3 + 1);
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  constexpr uint64_t kN = 1013;  // not a multiple of the worker count
-  std::vector<std::atomic<uint32_t>> seen(kN);
-  pool.ParallelFor(kN, [&](uint32_t, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) seen[i].fetch_add(1);
-  });
-  for (uint64_t i = 0; i < kN; ++i) EXPECT_EQ(seen[i].load(), 1u);
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesFewerItemsThanWorkers) {
-  ThreadPool pool(8);
-  std::atomic<uint64_t> visited{0};
-  std::atomic<uint32_t> invocations{0};
-  pool.ParallelFor(3, [&](uint32_t, uint64_t begin, uint64_t end) {
-    invocations.fetch_add(1);
-    visited.fetch_add(end - begin);
-  });
-  EXPECT_EQ(visited.load(), 3u);
-  EXPECT_EQ(invocations.load(), 8u);  // empty blocks are still invoked
-}
-
 TEST(ThreadPoolTest, DefaultThreadCountIsAtLeastOne) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
 }
@@ -185,6 +149,24 @@ TEST(ThreadPoolTest, ParallelForChunksCoversEveryIndexOnce) {
   EXPECT_EQ(stats.worker_busy_seconds.size(), 4u);
 }
 
+TEST(ThreadPoolTest, ParallelForChunksHandlesFewerItemsThanWorkers) {
+  // Three one-item chunks over eight workers: most deques start empty, and
+  // every item still runs exactly once, one invocation per chunk.
+  ThreadPool pool(8);
+  ChunkOptions options;
+  options.grain = 1;
+  options.sequential_cutoff = 0;
+  std::vector<std::atomic<uint32_t>> seen(3);
+  std::atomic<uint32_t> invocations{0};
+  pool.ParallelForChunks(
+      3, options, [&](uint32_t, uint64_t, uint64_t begin, uint64_t end) {
+        invocations.fetch_add(1);
+        for (uint64_t i = begin; i < end; ++i) seen[i].fetch_add(1);
+      });
+  for (const auto& hits : seen) EXPECT_EQ(hits.load(), 1u);
+  EXPECT_EQ(invocations.load(), 3u);
+}
+
 TEST(ThreadPoolTest, ParallelForChunksBoundariesAreScheduleIndependent) {
   // Chunk c must cover [c*grain, min(n, (c+1)*grain)) no matter which
   // worker runs it — this is the whole determinism contract.
@@ -211,11 +193,11 @@ TEST(ThreadPoolTest, ParallelForChunksBoundariesAreScheduleIndependent) {
   EXPECT_EQ(ends[2].load(), 10u);  // last chunk clamps to n
 }
 
-TEST(ThreadPoolTest, ParallelForChunksMatchesParallelForUnderSkewedCost) {
-  // The work-stealing variant must produce the same slot-indexed result
-  // as the static partition even when per-item cost is wildly skewed
-  // (the first 1/16th of items cost ~200x the rest, so static blocks
-  // leave worker 0 with almost all the work and thieves migrate chunks).
+TEST(ThreadPoolTest, ParallelForChunksMatchesSequentialUnderSkewedCost) {
+  // Work stealing must produce the same slot-indexed result as a plain
+  // sequential loop even when per-item cost is wildly skewed (the first
+  // 1/16th of items cost ~200x the rest, so worker 0's initial block holds
+  // almost all the work and thieves migrate chunks).
   constexpr uint64_t kN = 4096;
   const auto item_value = [](uint64_t i) {
     const uint64_t spins = (i < kN / 16) ? 2000 : 10;
@@ -226,11 +208,10 @@ TEST(ThreadPoolTest, ParallelForChunksMatchesParallelForUnderSkewedCost) {
     return acc;
   };
 
+  std::vector<uint64_t> from_sequential(kN, 0);
+  for (uint64_t i = 0; i < kN; ++i) from_sequential[i] = item_value(i);
+
   ThreadPool pool(4);
-  std::vector<uint64_t> from_static(kN, 0);
-  pool.ParallelFor(kN, [&](uint32_t, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) from_static[i] = item_value(i);
-  });
 
   ChunkDispatchStats stats;
   ChunkOptions options;
@@ -246,7 +227,7 @@ TEST(ThreadPoolTest, ParallelForChunksMatchesParallelForUnderSkewedCost) {
       });
 
   EXPECT_TRUE(stats.dispatched);
-  EXPECT_EQ(from_static, from_stealing);
+  EXPECT_EQ(from_sequential, from_stealing);
 }
 
 TEST(ThreadPoolTest, ParallelForChunksBypassesDispatchBelowCutoff) {
