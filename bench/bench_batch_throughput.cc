@@ -5,9 +5,17 @@
 // (claim conflicts/wounds, speculation aborts/retries) -- plus the registry
 // digest and reciprocity audit, which must agree across thread counts for
 // the same S.
+//
+// --delta sets the WPG proximity threshold (Table I's 2e-3 by default; pass
+// 2e-3 * sqrt(104770 / users) to hold the graph density of Table I fixed
+// while varying N). Results go to stdout, <output_dir>/batch_throughput.csv
+// and the JSON rows <output_dir>/BENCH_throughput.json (path overridable
+// via NELA_BENCH_THROUGHPUT_JSON), which also record nproc, compiler and
+// build type.
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,17 +25,74 @@
 #include "sim/sharded_service_driver.h"
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace {
+
+#if defined(__clang__)
+constexpr char kCompiler[] = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr char kCompiler[] = "gcc " __VERSION__;
+#else
+constexpr char kCompiler[] = "unknown";
+#endif
+
+struct ThroughputRow {
+  uint32_t threads = 0;
+  int64_t requests = 0;
+  double requests_per_sec = 0.0;
+  double p50_latency_ms = 0.0;
+  double p99_latency_ms = 0.0;
+  uint64_t speculation_aborts = 0;
+  uint64_t registry_digest = 0;
+};
+
+bool WriteThroughputJson(const std::string& output_dir, int64_t users,
+                         double delta, const std::vector<ThroughputRow>& rows) {
+  const char* env_path = std::getenv("NELA_BENCH_THROUGHPUT_JSON");
+  const std::string path =
+      env_path != nullptr ? env_path : output_dir + "/BENCH_throughput.json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "bench_batch_throughput: cannot write %s\n",
+                 path.c_str());
+    return false;
+  }
+  std::fprintf(f,
+               "{\n  \"benchmark\": \"bench_batch_throughput\",\n"
+               "  \"nproc\": %u,\n  \"compiler\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n  \"users\": %lld,\n"
+               "  \"delta\": %.6g,\n  \"rows\": [\n",
+               nela::util::ThreadPool::DefaultThreadCount(), kCompiler,
+               NELA_BUILD_TYPE, static_cast<long long>(users), delta);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ThroughputRow& r = rows[i];
+    std::fprintf(
+        f,
+        "    {\"threads\": %u, \"S\": %lld, \"requests_per_sec\": %.3f, "
+        "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
+        "\"speculation_aborts\": %" PRIu64 ", \"registry_digest\": "
+        "\"%016" PRIx64 "\"}%s\n",
+        r.threads, static_cast<long long>(r.requests), r.requests_per_sec,
+        r.p50_latency_ms, r.p99_latency_ms, r.speculation_aborts,
+        r.registry_digest, i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  const bool ok = std::fclose(f) == 0;
+  if (ok) std::printf("  -> %s\n", path.c_str());
+  return ok;
+}
 
 int Run(int argc, char** argv) {
   int64_t users = 20000;
   int64_t k = 5;
   int64_t master_seed = 99;
   int64_t workload_seed = 17;
+  double delta = 2e-3;
   std::string output_dir = "bench_results";
   nela::util::FlagParser flags;
   flags.AddInt64("users", &users, "population size");
+  flags.AddDouble("delta", &delta, "WPG proximity threshold");
   flags.AddInt64("k", &k, "anonymity requirement");
   flags.AddInt64("master_seed", &master_seed,
                  "seed of per-request RNG sub-streams");
@@ -41,14 +106,15 @@ int Run(int argc, char** argv) {
 
   std::printf("=== Batch driver: throughput and contention, "
               "threads x S ===\n");
-  std::printf("users=%lld k=%lld master_seed=%lld workload_seed=%lld\n\n",
-              static_cast<long long>(users), static_cast<long long>(k),
-              static_cast<long long>(master_seed),
+  std::printf("users=%lld delta=%g k=%lld master_seed=%lld "
+              "workload_seed=%lld\n\n",
+              static_cast<long long>(users), delta,
+              static_cast<long long>(k), static_cast<long long>(master_seed),
               static_cast<long long>(workload_seed));
 
   std::optional<nela::sim::Scenario> scenario =
       nela::bench::BuildScenarioOrExit(static_cast<uint32_t>(users),
-                                       &exit_code);
+                                       &exit_code, delta);
   if (!scenario.has_value()) return exit_code;
 
   const nela::core::BoundingParams params;
@@ -60,6 +126,7 @@ int Run(int argc, char** argv) {
   nela::bench::PrintRow({"threads", "S", "req/sec", "p50 ms", "p99 ms",
                          "conflicts", "spec aborts", "digest"});
   nela::bench::PrintRule(8);
+  std::vector<ThroughputRow> rows;
   for (int64_t requests : {256ll, 1024ll}) {
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
       nela::sim::ShardedServiceConfig config;
@@ -106,10 +173,15 @@ int Run(int argc, char** argv) {
                   std::to_string(r.speculation_retries),
                   std::to_string(r.clusters_formed), digest,
                   r.reciprocity_ok ? "1" : "0"});
+      rows.push_back(ThroughputRow{threads, requests, r.requests_per_sec,
+                                   r.p50_latency_ms, r.p99_latency_ms,
+                                   r.speculation_aborts, r.registry_digest});
     }
   }
-  return nela::bench::EmitCsv(csv, output_dir, "batch_throughput").ok() ? 0
-                                                                        : 1;
+  if (!nela::bench::EmitCsv(csv, output_dir, "batch_throughput").ok()) {
+    return 1;
+  }
+  return WriteThroughputJson(output_dir, users, delta, rows) ? 0 : 1;
 }
 
 }  // namespace

@@ -31,12 +31,15 @@ inline bool ParseFlagsOrExit(util::FlagParser& flags, int argc, char** argv,
   return false;
 }
 
-// Builds the standard scenario for `user_count` users, reporting failures
-// to stderr. On failure, sets *exit_code to 1 and returns nullopt.
-inline std::optional<sim::Scenario> BuildScenarioOrExit(uint32_t user_count,
-                                                        int* exit_code) {
+// Builds the standard scenario for `user_count` users (WPG threshold
+// `delta`, Table I's by default), reporting failures to stderr. On failure,
+// sets *exit_code to 1 and returns nullopt.
+inline std::optional<sim::Scenario> BuildScenarioOrExit(
+    uint32_t user_count, int* exit_code,
+    double delta = sim::ScenarioConfig{}.delta) {
   sim::ScenarioConfig config;
   config.user_count = user_count;
+  config.delta = delta;
   auto scenario = sim::BuildScenario(config);
   if (!scenario.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",

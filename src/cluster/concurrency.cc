@@ -44,12 +44,16 @@ bool ClaimCoordinator::TryClaim(Ticket ticket,
   for (Ticket victim : to_wound) {
     ++wounds_;
     wounded_[victim] = 1;
-    for (Ticket& h : holder_) {
-      if (h == victim) h = kNoTicket;
-    }
+    DropClaimsLocked(victim);
   }
-  // Pass 3: take everything.
-  for (graph::VertexId v : members) holder_[v] = ticket;
+  // Pass 3: take everything, recording each newly held vertex once.
+  std::vector<graph::VertexId>* held = nullptr;
+  for (graph::VertexId v : members) {
+    if (holder_[v] == ticket) continue;
+    holder_[v] = ticket;
+    if (held == nullptr) held = &held_[ticket];
+    held->push_back(v);
+  }
   return true;
 }
 
@@ -64,9 +68,19 @@ bool ClaimCoordinator::WasWounded(Ticket ticket) {
 void ClaimCoordinator::Release(Ticket ticket) {
   NELA_CHECK_NE(ticket, kNoTicket);
   util::MutexLock lock(mu_);
-  for (Ticket& h : holder_) {
-    if (h == ticket) h = kNoTicket;
+  DropClaimsLocked(ticket);
+}
+
+void ClaimCoordinator::DropClaimsLocked(Ticket ticket) {
+  const auto it = held_.find(ticket);
+  if (it == held_.end()) return;
+  // A vertex leaves a ticket's hold only through this function, so every
+  // listed vertex is still held by `ticket`.
+  for (graph::VertexId v : it->second) {
+    NELA_CHECK_EQ(holder_[v], ticket);
+    holder_[v] = kNoTicket;
   }
+  held_.erase(it);
 }
 
 Ticket ClaimCoordinator::HolderOf(graph::VertexId v) const {

@@ -25,6 +25,7 @@
 #define NELA_CLUSTER_CONCURRENCY_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/registry.h"
@@ -80,7 +81,9 @@ class ClaimCoordinator {
   // snapshot. Resets the flag.
   bool WasWounded(Ticket ticket) EXCLUDES(mu_);
 
-  // Releases every claim of `ticket` (after commit or abort).
+  // Releases every claim of `ticket` (after commit or abort). O(claims of
+  // `ticket`): the vertices come from the ticket's held list, never from a
+  // scan of all users. Releasing a ticket that holds nothing is a no-op.
   void Release(Ticket ticket) EXCLUDES(mu_);
 
   // Holder of user `v`, or kNoTicket.
@@ -101,8 +104,17 @@ class ClaimCoordinator {
   util::Mutex& mu() const RETURN_CAPABILITY(mu_) { return mu_; }
 
  private:
+  // Frees every vertex `ticket` holds and forgets its held list (the O(claims)
+  // core of Release and of wounding).
+  void DropClaimsLocked(Ticket ticket) REQUIRES(mu_);
+
   mutable util::Mutex mu_;
   std::vector<Ticket> holder_ GUARDED_BY(mu_);
+  // Per ticket, the vertices it holds (each listed once), so that release
+  // and wounding touch only those. Entries exist only for tickets holding
+  // at least one vertex.
+  std::unordered_map<Ticket, std::vector<graph::VertexId>> held_
+      GUARDED_BY(mu_);
   // Indexed by ticket (grown on demand).
   std::vector<uint8_t> wounded_ GUARDED_BY(mu_);
   Ticket next_ticket_ GUARDED_BY(mu_) = 1;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -51,13 +50,15 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
   // Vertices this run may still use: unclustered (the remaining WPG) minus
   // anyone excluded after a failed adjacency exchange or crash.
   std::vector<bool> usable(registry_->active());
-  std::vector<uint8_t> in_c(n, 0);
-  std::vector<uint8_t> involved(n, 0);
-  std::vector<uint8_t> exchanged(n, 0);
+  // The per-vertex marks are bit vectors: clearing one costs n/8 bytes,
+  // which keeps this fixed per-request cost small next to the cluster work.
+  std::vector<bool> in_c(n, false);
+  std::vector<bool> involved(n, false);
+  std::vector<bool> exchanged(n, false);
   uint64_t involved_count = 0;
   auto mark_involved = [&](graph::VertexId v) {
     if (!involved[v]) {
-      involved[v] = 1;
+      involved[v] = true;
       ++involved_count;
     }
   };
@@ -86,7 +87,7 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
         *network_, message, retry_policy_, retry_rng_, scope);
     if (sent.attempts > 0) mark_involved(v);
     if (sent.delivered) {
-      exchanged[v] = 1;
+      exchanged[v] = true;
       return true;
     }
     usable[v] = false;
@@ -99,7 +100,7 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
   // so the k-th accepted key is the smallest threshold whose class has at
   // least k members; the class itself is recovered by saturating.
   std::vector<graph::VertexId> c_members = {host};
-  in_c[host] = 1;
+  in_c[host] = true;
   mark_involved(host);
   graph::EdgeKey t = graph::EdgeKey::Min();
   {
@@ -123,7 +124,7 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
       heap.pop();
       if (in_c[v] || !usable[v]) continue;  // stale duplicate or churned out
       if (!exchange(v)) continue;           // lost mid-span: excluded
-      in_c[v] = 1;
+      in_c[v] = true;
       c_members.push_back(v);
       if (t < key) t = key;
       push_neighbors(v);
@@ -138,7 +139,7 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
   auto respan = [&](graph::EdgeKey threshold) -> bool {
     for (;;) {
       if (network_ != nullptr && !network_->IsAlive(host)) return false;
-      for (graph::VertexId v : c_members) in_c[v] = 0;
+      for (graph::VertexId v : c_members) in_c[v] = false;
       c_members = graph::ThresholdComponent(graph_, host, threshold, &usable);
       bool lost_member = false;
       for (graph::VertexId v : c_members) {
@@ -146,7 +147,7 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
       }
       if (!lost_member) break;
     }
-    for (graph::VertexId v : c_members) in_c[v] = 1;
+    for (graph::VertexId v : c_members) in_c[v] = true;
     return true;
   };
   const util::Status host_crashed = util::UnavailableError(
@@ -200,13 +201,13 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
   // --- Step 2: border-vertex isolation checks (Theorem 4.4).
   if (isolation_check_enabled_) {
     std::deque<graph::VertexId> pending;
-    std::vector<uint8_t> enqueued(n, 0);
+    std::vector<bool> enqueued(n, false);
     auto enqueue_border = [&]() {
       for (graph::VertexId v : c_members) {
         for (const graph::HalfEdge& edge : graph_.Neighbors(v)) {
           const graph::VertexId u = edge.to;
           if (usable[u] && !in_c[u] && !enqueued[u]) {
-            enqueued[u] = 1;
+            enqueued[u] = true;
             pending.push_back(u);
           }
         }
@@ -318,13 +319,14 @@ Partition DistributedTConnClusterer::PartitionSubset(
   // and therefore the partition -- matches what the centralized algorithm
   // would produce on the full graph restricted to this subset.
   std::sort(members.begin(), members.end());
-  std::unordered_map<graph::VertexId, uint32_t> local;
-  local.reserve(members.size());
-  for (uint32_t i = 0; i < members.size(); ++i) local[members[i]] = i;
+  auto local = [&members](graph::VertexId v) {
+    return static_cast<graph::VertexId>(
+        std::lower_bound(members.begin(), members.end(), v) -
+        members.begin());
+  };
   graph::Wpg induced(static_cast<uint32_t>(members.size()));
-  for (const graph::Edge& e :
-       graph::InducedEdges(graph_, members)) {
-    induced.AddEdge(local.at(e.u), local.at(e.v), e.weight);
+  for (const graph::Edge& e : graph::InducedEdges(graph_, members)) {
+    induced.AddEdge(local(e.u), local(e.v), e.weight);
   }
   induced.SortAdjacencyByWeight();
   Partition partition = CentralizedKClustering(induced, k_);

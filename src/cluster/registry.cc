@@ -10,6 +10,26 @@ Registry::Registry(uint32_t user_count, bool allow_overlap)
     : allow_overlap_(allow_overlap), user_count_(user_count),
       cluster_of_(user_count, kNoCluster), active_(user_count, true) {}
 
+Registry::Registry(const Registry& live, ClusterId first_id)
+    : allow_overlap_(live.allow_overlap_), user_count_(live.user_count_),
+      first_id_(first_id), view_(true), active_(live.active_) {}
+
+ClusterId Registry::ClusterOf(graph::VertexId v) const {
+  NELA_CHECK_LT(v, user_count_);
+  util::MutexLock lock(mu_);
+  if (!view_) return cluster_of_[v];
+  if (active_[v]) return kNoCluster;
+  // Newest first, so an overlapping registry reports the most recent.
+  for (size_t i = clusters_.size(); i-- > 0;) {
+    const std::vector<graph::VertexId>& members = clusters_[i].members;
+    if (std::binary_search(members.begin(), members.end(), v)) {
+      return first_id_ + static_cast<ClusterId>(i);
+    }
+  }
+  NELA_CHECK(false && "user clustered before the snapshot");
+  return kNoCluster;
+}
+
 util::Result<ClusterId> Registry::Register(
     std::vector<graph::VertexId> members, double connectivity, bool valid) {
   if (members.empty()) {
@@ -17,10 +37,10 @@ util::Result<ClusterId> Registry::Register(
   }
   util::MutexLock lock(mu_);
   for (graph::VertexId v : members) {
-    if (v >= cluster_of_.size()) {
+    if (v >= user_count_) {
       return util::InvalidArgumentError("member id out of range");
     }
-    if (cluster_of_[v] != kNoCluster && !allow_overlap_) {
+    if (!active_[v] && !allow_overlap_) {
       return util::FailedPreconditionError(
           "user already clustered; reciprocity forbids reassignment");
     }
@@ -31,10 +51,10 @@ util::Result<ClusterId> Registry::Register(
       return util::InvalidArgumentError("duplicate member");
     }
   }
-  const ClusterId id = static_cast<ClusterId>(clusters_.size());
+  const ClusterId id = first_id_ + static_cast<ClusterId>(clusters_.size());
   for (graph::VertexId v : members) {
-    if (cluster_of_[v] == kNoCluster) ++clustered_users_;
-    cluster_of_[v] = id;
+    if (active_[v]) ++clustered_users_;
+    if (!view_) cluster_of_[v] = id;
     active_[v] = false;
   }
   clusters_.push_back(
@@ -45,13 +65,14 @@ util::Result<ClusterId> Registry::Register(
 
 void Registry::SetRegion(ClusterId id, const geo::Rect& region) {
   util::MutexLock lock(mu_);
-  NELA_CHECK_LT(id, clusters_.size());
-  NELA_CHECK(!clusters_[id].region.has_value());
+  ClusterInfo& info = clusters_[LocalIndexLocked(id)];
+  NELA_CHECK(!info.region.has_value());
   NELA_CHECK(!region.empty());
-  clusters_[id].region = region;
+  info.region = region;
 }
 
 uint64_t Registry::Digest() const {
+  NELA_CHECK(!view_);
   util::MutexLock lock(mu_);
   uint64_t digest = util::kFnv64Offset;
   for (const ClusterInfo& info : clusters_) {
@@ -75,23 +96,18 @@ uint64_t Registry::Digest() const {
 }
 
 std::unique_ptr<Registry> Registry::Snapshot(uint64_t* version_out) const {
+  NELA_CHECK(!view_);
   util::MutexLock lock(mu_);
-  auto copy = std::make_unique<Registry>(user_count_, allow_overlap_);
-  // Bypass Register: replay the internal state directly so the copy is an
-  // exact membership image (including invalid clusters) at this version.
-  // The copy is private to this thread, but its members are still guarded
+  // Copies the mask (N bits) and two counters; no cluster is copied.
+  std::unique_ptr<Registry> view(
+      new Registry(*this, static_cast<ClusterId>(clusters_.size())));
+  // The view is private to this thread, but its members are still guarded
   // state to the analysis -- take its (uncontended) lock for the writes.
-  util::MutexLock copy_lock(copy->mu_);
-  copy->cluster_of_ = cluster_of_;
-  copy->active_ = active_;
-  copy->clustered_users_ = clustered_users_;
-  copy->version_ = version_;
-  for (const ClusterInfo& info : clusters_) {
-    copy->clusters_.push_back(
-        ClusterInfo{info.members, info.connectivity, info.valid, std::nullopt});
-  }
+  util::MutexLock view_lock(view->mu_);
+  view->clustered_users_ = clustered_users_;
+  view->version_ = version_;
   if (version_out != nullptr) *version_out = version_;
-  return copy;
+  return view;
 }
 
 }  // namespace nela::cluster

@@ -72,10 +72,17 @@ std::vector<std::vector<VertexId>> InducedComponents(
 
 std::vector<Edge> InducedEdges(const Wpg& graph,
                                const std::vector<VertexId>& vertices) {
-  std::unordered_set<VertexId> in_set(vertices.begin(), vertices.end());
+  std::vector<VertexId> members(vertices);
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
   std::vector<Edge> out;
-  for (const Edge& e : graph.edges()) {
-    if (in_set.count(e.u) > 0 && in_set.count(e.v) > 0) out.push_back(e);
+  for (VertexId u : members) {
+    for (const HalfEdge& edge : graph.Neighbors(u)) {
+      if (u < edge.to &&
+          std::binary_search(members.begin(), members.end(), edge.to)) {
+        out.push_back(Edge{u, edge.to, edge.weight});
+      }
+    }
   }
   return out;
 }

@@ -43,7 +43,11 @@ bool IsInducedConnected(const Wpg& graph, const std::vector<VertexId>& vertices)
 std::vector<std::vector<VertexId>> InducedComponents(
     const Wpg& graph, const std::vector<VertexId>& vertices);
 
-// Edges of the subgraph induced by `vertices`.
+// Edges of the subgraph induced by `vertices` (duplicates in `vertices`
+// are ignored), read from the members' CSR slices in O(sum of member
+// degrees * log |vertices|) -- never from the global edge list. Each edge
+// appears once, oriented u < v, ordered by u then by adjacency order;
+// callers that need a canonical order sort by KeyOf.
 std::vector<Edge> InducedEdges(const Wpg& graph,
                                const std::vector<VertexId>& vertices);
 

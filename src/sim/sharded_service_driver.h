@@ -6,8 +6,9 @@
 //
 // Execution model (optimistic concurrency + a commit turnstile):
 //
-//  * Speculation (parallel): each request snapshots the registry, runs
-//    phase-1 clustering on the private snapshot, and claims its
+//  * Speculation (parallel): each request takes a speculation view of the
+//    registry (Registry::Snapshot: the N-bit active mask and the version,
+//    no cluster copied), runs phase-1 clustering on it, and claims its
 //    candidate's users through wound-wait ClaimCoordinators -- tickets
 //    carry the request's global admission rank, so claim priority equals
 //    arrival order and conflicts resolve deterministically in favor of the
@@ -325,10 +326,10 @@ class ShardedServiceDriver {
 
   // Serves the admitted request of admission rank `rank`.
   [[nodiscard]] util::Status ProcessRequest(RunState& run, uint64_t rank);
-  // Phase 1 for `host` on a private snapshot of the registry (its version
-  // goes to `version` when non-null): appends the clusters a commit would
-  // register to `candidate` and returns the involved-user count. A host
-  // the snapshot already clusters yields nothing.
+  // Phase 1 for `host` on a private speculation view of the registry (its
+  // version goes to `version` when non-null): appends the clusters a
+  // commit would register to `candidate` and returns the involved-user
+  // count. A host the view already clusters yields nothing.
   [[nodiscard]] util::Result<uint64_t> ClusterOnSnapshot(
       RunState& run, data::UserId host, uint64_t* version,
       std::vector<cluster::ClusterInfo>* candidate);

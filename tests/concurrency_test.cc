@@ -5,11 +5,14 @@
 // driver (the production concurrent executor) without deadlock or
 // reciprocity violations.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -85,6 +88,164 @@ TEST(ClaimCoordinatorTest, ReclaimBySameTicketIsIdempotent) {
   EXPECT_TRUE(coordinator.TryClaim(a, {1, 2}));
   EXPECT_EQ(coordinator.HolderOf(0), a);
   EXPECT_EQ(coordinator.HolderOf(2), a);
+}
+
+// The claim rules as first written: every wound and release scans the
+// holder of every user (O(N) per call). The production coordinator keeps a
+// per-ticket held list instead; the differential test below checks the two
+// stay indistinguishable through the public API.
+class ScanClaimReference {
+ public:
+  explicit ScanClaimReference(uint32_t users) : holder_(users, kNoTicket) {}
+
+  void OpenRequestAt(Ticket ticket) {
+    if (wounded_.size() <= ticket) wounded_.resize(ticket + 1, 0);
+  }
+
+  bool TryClaim(Ticket ticket, const std::vector<VertexId>& members) {
+    std::vector<Ticket> to_wound;
+    for (VertexId v : members) {
+      const Ticket holder = holder_[v];
+      if (holder == kNoTicket || holder == ticket) continue;
+      ++conflicts_;
+      if (holder < ticket) return false;
+      to_wound.push_back(holder);
+    }
+    std::sort(to_wound.begin(), to_wound.end());
+    to_wound.erase(std::unique(to_wound.begin(), to_wound.end()),
+                   to_wound.end());
+    for (Ticket victim : to_wound) {
+      ++wounds_;
+      wounded_[victim] = 1;
+      for (Ticket& h : holder_) {
+        if (h == victim) h = kNoTicket;
+      }
+    }
+    for (VertexId v : members) holder_[v] = ticket;
+    return true;
+  }
+
+  bool WasWounded(Ticket ticket) {
+    if (ticket >= wounded_.size() || !wounded_[ticket]) return false;
+    wounded_[ticket] = 0;
+    return true;
+  }
+
+  void Release(Ticket ticket) {
+    for (Ticket& h : holder_) {
+      if (h == ticket) h = kNoTicket;
+    }
+  }
+
+  Ticket HolderOf(VertexId v) const { return holder_[v]; }
+  uint64_t conflicts_observed() const { return conflicts_; }
+  uint64_t wounds_inflicted() const { return wounds_; }
+
+ private:
+  std::vector<Ticket> holder_;
+  std::vector<uint8_t> wounded_;
+  uint64_t conflicts_ = 0;
+  uint64_t wounds_ = 0;
+};
+
+// A seeded random walk over OpenRequestAt / TryClaim / Release /
+// WasWounded on a small, heavily contended population, mirrored on the
+// scan reference; after every step the holder of every user and both
+// counters must agree. The walk is steered to hit re-claims by the same
+// ticket and wounds of a ticket that had already re-claimed.
+TEST(ClaimCoordinatorTest, HeldListsMatchFullScanReference) {
+  constexpr uint32_t kUsers = 12;
+  constexpr uint32_t kSteps = 3000;
+  uint64_t reclaims = 0;
+  uint64_t wounds_after_reclaim = 0;
+  for (uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    util::Rng rng(seed);
+    ClaimCoordinator fast(kUsers);
+    ScanClaimReference reference(kUsers);
+    std::vector<Ticket> open;
+    // Successful claims per ticket since it last held nothing.
+    std::map<Ticket, uint32_t> claims_held;
+    Ticket next = 1;
+    for (uint32_t step = 0; step < kSteps; ++step) {
+      const uint64_t op = open.empty() ? 0 : rng.NextUint64(10);
+      std::string what;
+      if (op == 0) {
+        // Tickets arrive with gaps, as admission ranks do.
+        next += 1 + rng.NextUint64(3);
+        EXPECT_EQ(fast.OpenRequestAt(next), next);
+        reference.OpenRequestAt(next);
+        open.push_back(next);
+        what = "open " + std::to_string(next);
+      } else {
+        const Ticket ticket = open[rng.NextUint64(open.size())];
+        if (op <= 5) {
+          std::vector<VertexId> members;
+          for (uint64_t i = 1 + rng.NextUint64(4); i > 0; --i) {
+            members.push_back(static_cast<VertexId>(rng.NextUint64(kUsers)));
+          }
+          std::vector<Ticket> holders_before;
+          for (VertexId v = 0; v < kUsers; ++v) {
+            holders_before.push_back(reference.HolderOf(v));
+          }
+          const bool got = fast.TryClaim(ticket, members);
+          ASSERT_EQ(got, reference.TryClaim(ticket, members))
+              << "seed " << seed << " step " << step;
+          if (got) {
+            if (++claims_held[ticket] >= 2) ++reclaims;
+            // Victims lose everything they held.
+            std::set<Ticket> victims;
+            for (VertexId v : members) {
+              const Ticket h = holders_before[v];
+              if (h != kNoTicket && h != ticket) victims.insert(h);
+            }
+            for (Ticket victim : victims) {
+              if (claims_held[victim] >= 2) ++wounds_after_reclaim;
+              claims_held[victim] = 0;
+            }
+          }
+          what = "claim by " + std::to_string(ticket);
+        } else if (op <= 7) {
+          fast.Release(ticket);
+          reference.Release(ticket);
+          claims_held[ticket] = 0;
+          what = "release " + std::to_string(ticket);
+        } else {
+          ASSERT_EQ(fast.WasWounded(ticket), reference.WasWounded(ticket))
+              << "seed " << seed << " step " << step;
+          what = "wounded? " + std::to_string(ticket);
+        }
+      }
+      for (VertexId v = 0; v < kUsers; ++v) {
+        ASSERT_EQ(fast.HolderOf(v), reference.HolderOf(v))
+            << "seed " << seed << " step " << step << " (" << what
+            << ") user " << v;
+      }
+      ASSERT_EQ(fast.conflicts_observed(), reference.conflicts_observed())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(fast.wounds_inflicted(), reference.wounds_inflicted())
+          << "seed " << seed << " step " << step;
+    }
+  }
+  // The walk covered the two cases the held lists must get right.
+  EXPECT_GT(reclaims, 0u);
+  EXPECT_GT(wounds_after_reclaim, 0u);
+}
+
+TEST(ClaimCoordinatorTest, ReleasingATicketThatNeverClaimedIsANoOp) {
+  ClaimCoordinator coordinator(4);
+  const Ticket holder = coordinator.OpenRequest();
+  const Ticket idle = coordinator.OpenRequest();
+  ASSERT_TRUE(coordinator.TryClaim(holder, {1, 3}));
+  coordinator.Release(idle);
+  coordinator.Release(idle);
+  EXPECT_EQ(coordinator.HolderOf(0), kNoTicket);
+  EXPECT_EQ(coordinator.HolderOf(1), holder);
+  EXPECT_EQ(coordinator.HolderOf(2), kNoTicket);
+  EXPECT_EQ(coordinator.HolderOf(3), holder);
+  EXPECT_EQ(coordinator.conflicts_observed(), 0u);
+  EXPECT_EQ(coordinator.wounds_inflicted(), 0u);
+  EXPECT_FALSE(coordinator.WasWounded(idle));
+  EXPECT_FALSE(coordinator.WasWounded(holder));
 }
 
 // Batched contention with REAL threads: N workers race overlapping claims
