@@ -1,11 +1,12 @@
 // Recovery and admission bench for the crash-durable anonymizer service.
 //
 // Part 1 sweeps WAL length (via request count) with and without
-// checkpointing and measures cold recovery of the one-shard durability
-// directory (RecoverAllShards + AssembleRegistry): wall time to rebuild
-// the registry from disk, records replayed vs skipped, and digest equality
-// with the live pre-shutdown registry (a failed equality is a bench
-// error, not a data point).
+// checkpointing (every 8 and every 32 commits) and measures the run's wall
+// time, the checkpoint bytes it leaves on disk, and cold recovery of the
+// one-shard durability directory (RecoverAllShards + AssembleRegistry):
+// wall time to rebuild the registry from disk, records replayed vs skipped,
+// and digest equality with the live pre-shutdown registry (a failed
+// equality is a bench error, not a data point).
 //
 // Part 2 sweeps offered load around the sustainable rate (threads /
 // service_time) and reports the admission outcome mix: admitted fraction,
@@ -50,11 +51,26 @@ nela::util::Result<nela::sim::ServiceResult> RunOneShard(
   return std::move(result).value().service;
 }
 
+// Bytes of the checkpoint files under `dir`, whatever their shard.
+uint64_t CheckpointBytesOnDisk(const std::string& dir) {
+  uint64_t total = 0;
+  std::error_code ec;
+  for (std::filesystem::recursive_directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->is_regular_file(ec) &&
+        it->path().filename().string().rfind("checkpoint-", 0) == 0) {
+      total += it->file_size(ec);
+    }
+  }
+  return total;
+}
+
 struct RecoverySample {
   uint32_t requests = 0;
   uint32_t checkpoint_interval = 0;
   uint64_t wal_records = 0;
   uint64_t checkpoints_written = 0;
+  uint64_t checkpoint_bytes = 0;
   uint64_t records_replayed = 0;
   uint64_t records_skipped = 0;
   double run_seconds = 0.0;
@@ -91,11 +107,12 @@ void WriteServiceBenchJson(const std::string& output_dir,
         f,
         "    {\"requests\": %u, \"checkpoint_interval\": %u, "
         "\"wal_records\": %" PRIu64 ", \"checkpoints_written\": %" PRIu64
-        ", \"records_replayed\": %" PRIu64 ", \"records_skipped\": %" PRIu64
+        ", \"checkpoint_bytes\": %" PRIu64 ", \"records_replayed\": %" PRIu64
+        ", \"records_skipped\": %" PRIu64
         ", \"run_seconds\": %.6f, \"recovery_seconds\": %.6f}%s\n",
         s.requests, s.checkpoint_interval, s.wal_records,
-        s.checkpoints_written, s.records_replayed, s.records_skipped,
-        s.run_seconds, s.recovery_seconds,
+        s.checkpoints_written, s.checkpoint_bytes, s.records_replayed,
+        s.records_skipped, s.run_seconds, s.recovery_seconds,
         i + 1 < recovery.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"shedding\": [\n");
@@ -158,7 +175,8 @@ int Run(int argc, char** argv) {
 
   nela::util::CsvWriter csv;
   csv.SetHeader({"section", "requests", "checkpoint_interval",
-                 "wal_records", "checkpoints_written", "records_replayed",
+                 "wal_records", "checkpoints_written", "checkpoint_bytes",
+                 "records_replayed",
                  "records_skipped", "run_seconds", "recovery_seconds",
                  "load_multiplier", "admitted", "shed_queue_overflow",
                  "shed_deadline", "p50_queue_wait_ms", "p99_queue_wait_ms"});
@@ -167,10 +185,11 @@ int Run(int argc, char** argv) {
   std::vector<RecoverySample> recovery_samples;
   std::printf("--- recovery: replay cost vs WAL length ---\n");
   nela::bench::PrintRow({"requests", "ckpt_ival", "wal_records",
-                         "replayed", "skipped", "recovery_s"});
-  nela::bench::PrintRule(6);
+                         "replayed", "skipped", "ckpt_bytes", "run_s",
+                         "recovery_s"});
+  nela::bench::PrintRule(8);
   for (uint32_t requests : {64u, 256u, 512u}) {
-    for (uint32_t interval : {0u, 32u}) {
+    for (uint32_t interval : {0u, 8u, 32u}) {
       const std::string scratch = output_dir + "/recovery_scratch";
       std::filesystem::remove_all(scratch, ec);
       std::filesystem::create_directories(scratch, ec);
@@ -219,6 +238,7 @@ int Run(int argc, char** argv) {
       sample.checkpoint_interval = interval;
       sample.wal_records = result.value().wal_records;
       sample.checkpoints_written = result.value().checkpoints_written;
+      sample.checkpoint_bytes = CheckpointBytesOnDisk(scratch);
       sample.records_replayed = recovered.value().TotalReplayed();
       sample.records_skipped = recovered.value().shards[0].records_skipped;
       sample.run_seconds = run_seconds;
@@ -230,11 +250,14 @@ int Run(int argc, char** argv) {
            std::to_string(sample.wal_records),
            std::to_string(sample.records_replayed),
            std::to_string(sample.records_skipped),
+           std::to_string(sample.checkpoint_bytes),
+           nela::util::CsvWriter::Cell(run_seconds),
            nela::util::CsvWriter::Cell(recovery_seconds)});
       csv.AddRow({"recovery", std::to_string(requests),
                   std::to_string(interval),
                   std::to_string(sample.wal_records),
                   std::to_string(sample.checkpoints_written),
+                  std::to_string(sample.checkpoint_bytes),
                   std::to_string(sample.records_replayed),
                   std::to_string(sample.records_skipped),
                   nela::util::CsvWriter::Cell(run_seconds),
@@ -294,7 +317,7 @@ int Run(int argc, char** argv) {
          nela::util::CsvWriter::Cell(sample.shed_fraction),
          nela::util::CsvWriter::Cell(r.p99_queue_wait_ms)});
     csv.AddRow({"shedding", std::to_string(config.requests), "", "", "", "",
-                "", "", "", nela::util::CsvWriter::Cell(multiplier),
+                "", "", "", "", nela::util::CsvWriter::Cell(multiplier),
                 std::to_string(r.admitted),
                 std::to_string(r.shed_queue_overflow),
                 std::to_string(r.shed_deadline),

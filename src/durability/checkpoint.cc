@@ -1,7 +1,10 @@
 #include "durability/checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <filesystem>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,6 +39,37 @@ std::string CheckpointPath(const std::string& dir, uint64_t seq) {
   return dir + "/checkpoint-" + std::to_string(seq) + ".ckpt";
 }
 
+std::optional<uint64_t> CheckpointSeqOf(const std::string& filename) {
+  constexpr std::string_view kPrefix = "checkpoint-";
+  if (filename.rfind(kPrefix, 0) != 0) return std::nullopt;
+  uint64_t seq = 0;
+  const char* end = filename.data() + filename.size();
+  if (std::from_chars(filename.data() + kPrefix.size(), end, seq).ec !=
+      std::errc()) {
+    return std::nullopt;
+  }
+  if (CheckpointPath("", seq) != "/" + filename) return std::nullopt;
+  return seq;
+}
+
+util::Result<std::vector<uint64_t>> ListCheckpointSeqs(
+    const std::string& dir) {
+  std::vector<uint64_t> seqs;
+  std::error_code error;
+  if (!std::filesystem::exists(dir, error)) return seqs;
+  for (std::filesystem::directory_iterator it(dir, error), end;
+       !error && it != end; it.increment(error)) {
+    const auto seq = CheckpointSeqOf(it->path().filename().string());
+    if (seq.has_value()) seqs.push_back(*seq);
+  }
+  if (error) {
+    return util::UnavailableError("cannot list checkpoints in " + dir +
+                                  ": " + error.message());
+  }
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
 util::Status WriteCheckpointFile(const std::string& path,
                                  const std::string& encoded) {
   return WriteBytes(path, encoded);
@@ -49,20 +83,29 @@ util::Status WriteTornCheckpointFile(const std::string& path,
   return WriteBytes(path, torn);
 }
 
+void AppendShardCheckpointHeader(std::string* out, uint32_t user_count,
+                                 uint64_t covered_lsn,
+                                 uint32_t cluster_count) {
+  codec::PutU64(out, kShardCheckpointMagic);
+  codec::PutU32(out, user_count);
+  codec::PutU64(out, covered_lsn);
+  codec::PutU32(out, cluster_count);
+}
+
+void AppendShardCheckpointEntry(std::string* out, cluster::ClusterId id,
+                                const cluster::ClusterInfo& info) {
+  codec::PutU32(out, id);
+  codec::PutCluster(out, info.members, info.connectivity, info.valid);
+  codec::PutU8(out, info.region.has_value() ? 1 : 0);
+  if (info.region.has_value()) codec::PutRect(out, *info.region);
+}
+
 std::string EncodeShardCheckpoint(const ShardCheckpointImage& image) {
   std::string body;
-  codec::PutU64(&body, kShardCheckpointMagic);
-  codec::PutU32(&body, image.user_count);
-  codec::PutU64(&body, image.covered_lsn);
-  codec::PutU32(&body, static_cast<uint32_t>(image.clusters.size()));
+  AppendShardCheckpointHeader(&body, image.user_count, image.covered_lsn,
+                              static_cast<uint32_t>(image.clusters.size()));
   for (const ShardCheckpointCluster& entry : image.clusters) {
-    codec::PutU32(&body, entry.id);
-    codec::PutCluster(&body, entry.info.members, entry.info.connectivity,
-                      entry.info.valid);
-    codec::PutU8(&body, entry.info.region.has_value() ? 1 : 0);
-    if (entry.info.region.has_value()) {
-      codec::PutRect(&body, *entry.info.region);
-    }
+    AppendShardCheckpointEntry(&body, entry.id, entry.info);
   }
   codec::PutU64(&body, util::FnvHashBytes(body.data(), body.size()));
   return body;

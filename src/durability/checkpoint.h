@@ -15,16 +15,22 @@
 //              [u64 connectivity_bits][u8 valid]
 //              [u8 has_region][has_region ? 4 x u64 rect bits : nothing]
 //
-// Files are written whole and named checkpoint-<seq>.ckpt with a strictly
-// increasing sequence number; a crash mid-write (ProcessCrashPoint::
-// kMidCheckpoint) leaves a file whose trailer checksum cannot match, which
-// ReadShardCheckpoint rejects so recovery falls back to the previous
-// checkpoint.
+// Files are named checkpoint-<seq>.ckpt with a strictly increasing sequence
+// number and written whole by one call, from bytes the writer already holds:
+// the service keeps each stream's cluster entries encoded between cuts
+// (durability/sharded_durable_registry.h), so a cut assembles header,
+// entries and trailer without reading the registry. A crash mid-write
+// (ProcessCrashPoint::kMidCheckpoint) leaves a file whose trailer checksum
+// cannot match, which ReadShardCheckpoint rejects so recovery falls back to
+// the previous checkpoint -- or, with none left intact, to the whole WAL,
+// which is never truncated. That fallback is why a writer may delete a
+// checkpoint once a newer one is written in full.
 
 #ifndef NELA_DURABILITY_CHECKPOINT_H_
 #define NELA_DURABILITY_CHECKPOINT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,8 +59,25 @@ struct ShardCheckpointImage {
 // Path of checkpoint number `seq` inside `dir`.
 std::string CheckpointPath(const std::string& dir, uint64_t seq);
 
-// Serializes one shard's slice.
+// Parses "checkpoint-<seq>.ckpt" -> seq; nullopt for any other name.
+// Only the exact spelling CheckpointPath() produces is accepted: a leading
+// zero ("checkpoint-007.ckpt") would otherwise parse to a seq whose file is
+// a different one, and a digit run past u64 would wrap.
+std::optional<uint64_t> CheckpointSeqOf(const std::string& filename);
+
+// Seqs of the checkpoint files in `dir`, ascending, intact or not; empty
+// when `dir` does not exist.
+util::Result<std::vector<uint64_t>> ListCheckpointSeqs(const std::string& dir);
+
+// Serializes one shard's slice: the header, each entry in order, then the
+// FNV-1a trailer over both. The two pieces below are exactly those bytes, for
+// writers that keep their entries encoded.
 std::string EncodeShardCheckpoint(const ShardCheckpointImage& image);
+void AppendShardCheckpointHeader(std::string* out, uint32_t user_count,
+                                 uint64_t covered_lsn,
+                                 uint32_t cluster_count);
+void AppendShardCheckpointEntry(std::string* out, cluster::ClusterId id,
+                                const cluster::ClusterInfo& info);
 
 // Writes `encoded` to `path` in full and flushes (fflush, no fsync).
 [[nodiscard]] util::Status WriteCheckpointFile(const std::string& path,

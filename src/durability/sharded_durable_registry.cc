@@ -1,10 +1,15 @@
 #include "durability/sharded_durable_registry.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <utility>
 
 #include "durability/checkpoint.h"
+#include "durability/codec.h"
 #include "durability/shard_layout.h"
+#include "util/hash.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace nela::durability {
 
@@ -16,22 +21,39 @@ util::Status CrashError(net::ProcessCrashPoint point) {
       net::ProcessCrashPointName(point));
 }
 
+struct CutAuditSlot {
+  util::Mutex mu;
+  ShardedDurableRegistry::CutAudit audit GUARDED_BY(mu);
+};
+
+CutAuditSlot& AuditSlot() {
+  static CutAuditSlot slot;
+  return slot;
+}
+
 }  // namespace
 
 ShardedDurableRegistry::ShardedDurableRegistry(
     cluster::Registry* registry, std::string base_dir,
     CrashPointScheduler* crash, std::vector<uint64_t> next_lsns,
     std::unordered_map<cluster::ClusterId, uint32_t> stream_of)
-    : registry_(registry), base_dir_(std::move(base_dir)), crash_(crash),
+    : registry_(registry), base_dir_(std::move(base_dir)),
+      user_count_(registry->user_count()), crash_(crash),
       next_lsns_(std::move(next_lsns)), stream_of_(std::move(stream_of)) {
-  NELA_CHECK(registry_ != nullptr);
-  clusters_of_stream_.resize(next_lsns_.size());
+  // Setup is single-threaded, but the slices are guarded state; the
+  // uncontended lock keeps the annotation exact.
+  util::MutexLock lock(mu_);
+  std::vector<std::vector<cluster::ClusterId>> ids(next_lsns_.size());
   for (const auto& [id, stream] : stream_of_) {
-    NELA_CHECK_LT(stream, clusters_of_stream_.size());
-    clusters_of_stream_[stream].push_back(id);
+    NELA_CHECK_LT(stream, ids.size());
+    ids[stream].push_back(id);
   }
-  for (std::vector<cluster::ClusterId>& ids : clusters_of_stream_) {
-    std::sort(ids.begin(), ids.end());
+  // A resumed run's recovered clusters are encoded once, here; from then
+  // on every mutation keeps the cache current.
+  slices_.resize(ids.size());
+  for (uint32_t stream = 0; stream < ids.size(); ++stream) {
+    std::sort(ids[stream].begin(), ids[stream].end());
+    for (cluster::ClusterId id : ids[stream]) CacheEntryLocked(stream, id);
   }
 }
 
@@ -42,6 +64,7 @@ ShardedDurableRegistry::Open(
     std::vector<uint64_t> next_lsns,
     std::unordered_map<cluster::ClusterId, uint32_t> stream_of,
     bool truncate) {
+  NELA_CHECK(registry != nullptr);
   NELA_CHECK_GE(shard_count, 1u);
   NELA_CHECK_EQ(next_lsns.size(), shard_count);
   const util::Status dirs = EnsureShardDirs(base_dir, shard_count);
@@ -54,12 +77,22 @@ ShardedDurableRegistry::Open(
     auto wal = WalWriter::Open(ShardWalPath(base_dir, shard), truncate);
     if (!wal.ok()) return wal.status();
     store->wals_.push_back(std::move(wal).value());
+    auto kept = ListCheckpointSeqs(ShardCheckpointDir(base_dir, shard));
+    if (!kept.ok()) return kept.status();
+    util::MutexLock lock(store->mu_);
+    store->slices_[shard].kept_seqs = std::move(kept).value();
   }
   return store;
 }
 
 util::Status ShardedDurableRegistry::AppendLocked(uint32_t stream,
                                                   const WalRecord& record) {
+  if (crash_ != nullptr && crash_->crashed()) {
+    // The process is dead: threads still unwinding write nothing more. A
+    // frame appended after a torn one would otherwise complete the torn
+    // frame's declared length and read as mid-log corruption.
+    return CrashError(*crash_->fired());
+  }
   if (crash_ != nullptr &&
       crash_->ShouldCrash(net::ProcessCrashPoint::kMidWalAppend)) {
     // Half of the framed record ([u32 len][u64 checksum] + payload) reaches
@@ -95,7 +128,7 @@ util::Status ShardedDurableRegistry::RegisterBatch(
     if (!id.ok()) return id.status();
     NELA_CHECK_EQ(id.value(), first_id + static_cast<uint32_t>(c));
     stream_of_.emplace(id.value(), stream);
-    clusters_of_stream_[stream].push_back(id.value());
+    CacheEntryLocked(stream, id.value());
   }
   ++next_lsns_[stream];
   return util::Status();
@@ -118,34 +151,125 @@ util::Status ShardedDurableRegistry::SetRegion(cluster::ClusterId id,
   const util::Status appended = AppendLocked(stream, record);
   if (!appended.ok()) return appended;
   registry_->SetRegion(id, region);
+#ifndef NELA_TEST_MUTANT_UNPATCHED_REGION
+  // The entry ends in [u8 has_region = 0] (the registry just checked the
+  // region was unset); patch in [1][rect].
+  Slice& slice = slices_[stream];
+  const size_t index = static_cast<size_t>(
+      std::lower_bound(slice.ids.begin(), slice.ids.end(), id) -
+      slice.ids.begin());
+  NELA_CHECK(index < slice.ids.size() && slice.ids[index] == id);
+  std::string& entry = slice.entries[index];
+  NELA_CHECK_EQ(entry.back(), '\0');
+  entry.back() = 1;
+  codec::PutRect(&entry, region);
+#endif
   ++next_lsns_[stream];
   return util::Status();
 }
 
+void ShardedDurableRegistry::CacheEntryLocked(uint32_t stream,
+                                              cluster::ClusterId id) {
+  Slice& slice = slices_[stream];
+  NELA_CHECK(slice.ids.empty() || slice.ids.back() < id);
+  std::string entry;
+  AppendShardCheckpointEntry(&entry, id, registry_->info(id));
+  slice.ids.push_back(id);
+  slice.entries.push_back(std::move(entry));
+}
+
+void ShardedDurableRegistry::EncodeCutLocked(uint32_t stream) {
+  const Slice& slice = slices_[stream];
+  cut_bytes_.clear();
+  AppendShardCheckpointHeader(&cut_bytes_, user_count_,
+                              next_lsns_[stream] - 1,
+                              static_cast<uint32_t>(slice.ids.size()));
+  for (const std::string& entry : slice.entries) cut_bytes_.append(entry);
+  codec::PutU64(&cut_bytes_,
+                util::FnvHashBytes(cut_bytes_.data(), cut_bytes_.size()));
+}
+
+std::string ShardedDurableRegistry::ReferenceCutLocked(
+    uint32_t stream) const {
+  ShardCheckpointImage image;
+  image.user_count = registry_->user_count();
+  image.covered_lsn = next_lsns_[stream] - 1;
+  image.clusters.reserve(slices_[stream].ids.size());
+  for (cluster::ClusterId id : slices_[stream].ids) {
+    ShardCheckpointCluster entry;
+    entry.id = id;
+    entry.info = registry_->info(id);
+    entry.info.region = registry_->RegionOf(id);
+    image.clusters.push_back(std::move(entry));
+  }
+  return EncodeShardCheckpoint(image);
+}
+
+util::Status ShardedDurableRegistry::PruneLocked(uint32_t stream,
+                                                 uint64_t seq) {
+  Slice& slice = slices_[stream];
+  std::vector<uint64_t>& kept = slice.kept_seqs;
+  kept.insert(std::upper_bound(kept.begin(), kept.end(), seq), seq);
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+  // kept[0, cut) is older than `seq`; all but its last entry go.
+  const size_t cut = static_cast<size_t>(
+      std::lower_bound(kept.begin(), kept.end(), seq) - kept.begin());
+  if (cut < 2) return util::Status();
+  const std::string dir = ShardCheckpointDir(base_dir_, stream);
+  size_t removed = 0;
+  util::Status status;
+  for (; removed + 1 < cut; ++removed) {
+    const std::string path = CheckpointPath(dir, kept[removed]);
+    std::error_code error;
+    std::filesystem::remove(path, error);
+    if (error) {
+      status = util::UnavailableError("cannot prune checkpoint " + path +
+                                      ": " + error.message());
+      break;
+    }
+  }
+  kept.erase(kept.begin(), kept.begin() + static_cast<ptrdiff_t>(removed));
+  return status;
+}
+
+void ShardedDurableRegistry::SetCutAuditForTesting(CutAudit audit) {
+  CutAuditSlot& slot = AuditSlot();
+  util::MutexLock lock(slot.mu);
+  slot.audit = std::move(audit);
+}
+
 util::Status ShardedDurableRegistry::CheckpointAll(uint64_t seq) {
+  CutAudit audit;
+  {
+    CutAuditSlot& slot = AuditSlot();
+    util::MutexLock lock(slot.mu);
+    audit = slot.audit;
+  }
   util::MutexLock lock(mu_);
   for (uint32_t stream = 0; stream < wals_.size(); ++stream) {
-    ShardCheckpointImage image;
-    image.user_count = registry_->user_count();
-    image.covered_lsn = next_lsns_[stream] - 1;
-    image.clusters.reserve(clusters_of_stream_[stream].size());
-    for (cluster::ClusterId id : clusters_of_stream_[stream]) {
-      ShardCheckpointCluster entry;
-      entry.id = id;
-      entry.info = registry_->info(id);
-      entry.info.region = registry_->RegionOf(id);
-      image.clusters.push_back(std::move(entry));
-    }
-    const std::string encoded = EncodeShardCheckpoint(image);
-    const std::string path =
-        CheckpointPath(ShardCheckpointDir(base_dir_, stream), seq);
+    Slice& slice = slices_[stream];
+    const std::string dir = ShardCheckpointDir(base_dir_, stream);
+    const std::string path = CheckpointPath(dir, seq);
     if (crash_ != nullptr &&
         crash_->ShouldCrash(net::ProcessCrashPoint::kMidCheckpoint)) {
-      (void)WriteTornCheckpointFile(path, encoded, encoded.size() / 2);
+      EncodeCutLocked(stream);
+      (void)WriteTornCheckpointFile(path, cut_bytes_, cut_bytes_.size() / 2);
       return CrashError(net::ProcessCrashPoint::kMidCheckpoint);
     }
-    const util::Status written = WriteCheckpointFile(path, encoded);
-    if (!written.ok()) return written;
+    const uint64_t covered_lsn = next_lsns_[stream] - 1;
+    if (slice.cut_lsn != covered_lsn) {
+      EncodeCutLocked(stream);
+      const util::Status written = WriteCheckpointFile(path, cut_bytes_);
+      if (!written.ok()) return written;
+      slice.cut_lsn = covered_lsn;
+      slice.cut_seq = seq;
+      const util::Status pruned = PruneLocked(stream, seq);
+      if (!pruned.ok()) return pruned;
+    }
+    if (audit) {
+      audit(stream, CheckpointPath(dir, slice.cut_seq),
+            ReferenceCutLocked(stream));
+    }
   }
   return util::Status();
 }

@@ -26,16 +26,31 @@
 // land between the snapshot and the position it records. Callers must not
 // hold the registry mutex when calling in.
 //
+// Checkpoint cost. Every registry mutation in a durable run passes through
+// this class, so each stream keeps its slice's checkpoint entries already
+// encoded: RegisterBatch appends one entry per cluster and SetRegion
+// patches the entry's region bytes in place. A cut writes the header, the
+// cached entries and the FNV trailer -- O(slice) bytes, no registry reads,
+// no per-cluster copies. A stream whose covered lsn has not moved since
+// its last cut in this process is not cut again (its newest checkpoint
+// already holds the same image). After a cut is written and flushed, every
+// older checkpoint of that stream except the one before it is deleted;
+// that is safe because the WAL is never truncated, so a recovery that
+// rejects both kept checkpoints replays the whole stream.
+//
 // The crash scheduler hook injects ProcessCrashPoint::kMidWalAppend and
 // kMidCheckpoint faults: the record or checkpoint is half-written, nothing
 // is applied, and the call returns kUnavailable, after which the driver
-// halts as crashed.
+// halts as crashed. Once any crash point has fired, every later append
+// also returns kUnavailable and writes nothing, as in a dead process.
 
 #ifndef NELA_DURABILITY_SHARDED_DURABLE_REGISTRY_H_
 #define NELA_DURABILITY_SHARDED_DURABLE_REGISTRY_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,11 +90,30 @@ class ShardedDurableRegistry {
   [[nodiscard]] util::Status SetRegion(cluster::ClusterId id,
                                        const geo::Rect& region) EXCLUDES(mu_);
 
-  // Cuts checkpoint `seq` for every stream: shard s's file snapshots the
-  // clusters logged in stream s (current regions included) at stream s's
-  // current covered lsn. A kMidCheckpoint crash tears the file being
-  // written and leaves the remaining shards' files uncut.
+  // Cuts checkpoint `seq` for every stream that moved since its last cut:
+  // shard s's file holds the clusters logged in stream s (current regions
+  // included) at stream s's current covered lsn, written from the cached
+  // entries. Each written cut prunes the stream to two checkpoints (this
+  // one and the one before it). Every stream, moved or not, passes the
+  // kMidCheckpoint crash point in order, so a FaultPlan fires at the same
+  // stream as it would with no skipping: the crash tears that stream's
+  // file for `seq` and leaves the remaining shards' files uncut.
   [[nodiscard]] util::Status CheckpointAll(uint64_t seq) EXCLUDES(mu_);
+
+  // Test hook for the differential check of the cached image. While one is
+  // installed (process-wide; an empty function removes it), CheckpointAll
+  // also encodes each stream's image from the registry -- reading every
+  // cluster of the slice back out of it, the reference the cache must
+  // match -- and calls `audit(stream, newest_checkpoint_path,
+  // reference_bytes)` after
+  // the stream is cut or skipped. `newest_checkpoint_path` is the file
+  // recovery would restore first; a correct cache makes its bytes equal
+  // `reference_bytes`. Not for production use: the reference costs what
+  // the cache saves.
+  using CutAudit = std::function<void(uint32_t stream,
+                                      const std::string& newest_checkpoint,
+                                      const std::string& reference)>;
+  static void SetCutAuditForTesting(CutAudit audit);
 
   uint32_t stream_count() const {
     return static_cast<uint32_t>(wals_.size());
@@ -95,14 +129,43 @@ class ShardedDurableRegistry {
                                           const WalRecord& record)
       REQUIRES(mu_);
 
+  // One stream's checkpoint state.
+  struct Slice {
+    // Ids the stream logged, ascending (commits arrive in id order), and
+    // their encoded checkpoint entries: entries[i] is
+    // AppendShardCheckpointEntry of ids[i] with its current region.
+    std::vector<cluster::ClusterId> ids;
+    std::vector<std::string> entries;
+    // Covered lsn and seq of this process's last cut of the stream, if any.
+    std::optional<uint64_t> cut_lsn;
+    uint64_t cut_seq = 0;
+    // Checkpoint seqs on disk, ascending, intact or not (seeded from the
+    // directory at Open, so a resumed run prunes what a crash left).
+    std::vector<uint64_t> kept_seqs;
+  };
+
   ShardedDurableRegistry(cluster::Registry* registry, std::string base_dir,
                          CrashPointScheduler* crash,
                          std::vector<uint64_t> next_lsns,
                          std::unordered_map<cluster::ClusterId, uint32_t>
                              stream_of);
 
+  // Appends the entry of registered cluster `id` to `stream`'s slice.
+  void CacheEntryLocked(uint32_t stream, cluster::ClusterId id)
+      REQUIRES(mu_);
+  // The whole checkpoint file of `stream` at its current covered lsn, from
+  // the cached entries; left in cut_bytes_.
+  void EncodeCutLocked(uint32_t stream) REQUIRES(mu_);
+  // The same file built from the registry (the CutAudit reference).
+  std::string ReferenceCutLocked(uint32_t stream) const REQUIRES(mu_);
+  // Records cut `seq` of `stream` and deletes every older checkpoint of the
+  // stream except the newest of them.
+  [[nodiscard]] util::Status PruneLocked(uint32_t stream, uint64_t seq)
+      REQUIRES(mu_);
+
   cluster::Registry* registry_;
   const std::string base_dir_;
+  const uint32_t user_count_;
   CrashPointScheduler* crash_;
   // Stream handles are append-only after Open; each WalWriter serializes
   // its own appends internally.
@@ -111,13 +174,12 @@ class ShardedDurableRegistry {
   // This lock precedes every stream's WAL lock and the registry's.
   mutable util::Mutex mu_ ACQUIRED_BEFORE(registry_->mu());
   std::vector<uint64_t> next_lsns_ GUARDED_BY(mu_);
-  // Cluster id -> stream that logged it (guards SetRegion routing and the
-  // per-stream checkpoint slices).
+  // Cluster id -> stream that logged it (SetRegion routing).
   std::unordered_map<cluster::ClusterId, uint32_t> stream_of_
       GUARDED_BY(mu_);
-  // Ids logged per stream, ascending (commits arrive in id order).
-  std::vector<std::vector<cluster::ClusterId>> clusters_of_stream_
-      GUARDED_BY(mu_);
+  std::vector<Slice> slices_ GUARDED_BY(mu_);
+  // Scratch for the file being cut; keeps its capacity between cuts.
+  std::string cut_bytes_ GUARDED_BY(mu_);
 };
 
 }  // namespace nela::durability

@@ -1,10 +1,6 @@
 #include "durability/sharded_recovery.h"
 
 #include <algorithm>
-#include <charconv>
-#include <filesystem>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -14,23 +10,6 @@
 namespace nela::durability {
 
 namespace {
-
-// Parses "checkpoint-<seq>.ckpt" -> seq; nullopt for any other name.
-// Only the exact spelling CheckpointPath() produces is accepted: a leading
-// zero ("checkpoint-007.ckpt") would otherwise parse to a seq whose file is
-// a different one, and a digit run past u64 would wrap.
-std::optional<uint64_t> CheckpointSeqOf(const std::string& filename) {
-  constexpr std::string_view kPrefix = "checkpoint-";
-  if (filename.rfind(kPrefix, 0) != 0) return std::nullopt;
-  uint64_t seq = 0;
-  const char* end = filename.data() + filename.size();
-  if (std::from_chars(filename.data() + kPrefix.size(), end, seq).ec !=
-      std::errc()) {
-    return std::nullopt;
-  }
-  if (CheckpointPath("", seq) != "/" + filename) return std::nullopt;
-  return seq;
-}
 
 util::Status CheckMembers(const cluster::ClusterInfo& info,
                           uint32_t user_count) {
@@ -81,14 +60,9 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
 
   // --- 1. Newest intact per-shard checkpoint -------------------------------
   const std::string checkpoint_dir = ShardCheckpointDir(base_dir, shard);
-  std::vector<uint64_t> seqs;
-  if (std::filesystem::exists(checkpoint_dir)) {
-    for (const auto& entry :
-         std::filesystem::directory_iterator(checkpoint_dir)) {
-      const auto seq = CheckpointSeqOf(entry.path().filename().string());
-      if (seq.has_value()) seqs.push_back(*seq);
-    }
-  }
+  auto listed = ListCheckpointSeqs(checkpoint_dir);
+  if (!listed.ok()) return listed.status();
+  std::vector<uint64_t> seqs = std::move(listed).value();
   std::sort(seqs.rbegin(), seqs.rend());
   state.max_checkpoint_seq = seqs.empty() ? 0 : seqs.front();
 
@@ -110,10 +84,10 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
   }
 
   // --- 2. Torn-tail truncation + replay of this shard's stream -------------
-  const std::string stream_path = ShardWalPath(base_dir, shard);
-  auto truncated = TruncateTornTail(stream_path);
-  if (!truncated.ok()) return truncated.status();
-  state.torn_bytes_discarded = truncated.value();
+  // One read and one scan: the torn tail is cut from that scan's result.
+  auto wal = ReadWalAndTruncateTornTail(ShardWalPath(base_dir, shard));
+  if (!wal.ok()) return wal.status();
+  state.torn_bytes_discarded = wal.value().torn_bytes;
 
   std::unordered_map<cluster::ClusterId, size_t> index_of;
   index_of.reserve(state.clusters.size());
@@ -124,8 +98,6 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
     index_of.emplace(state.clusters[i].id, i);
   }
 
-  auto wal = ReadWal(stream_path);
-  if (!wal.ok()) return wal.status();
   uint64_t max_lsn = covered_lsn;
   for (const WalRecord& record : wal.value().records) {
     max_lsn = std::max(max_lsn, record.lsn);

@@ -61,8 +61,8 @@ struct ShardedRecoveredState {
 // Recovers shard `shard` from <base_dir>/shard-<shard> alone. Mutates
 // nothing but that shard's torn WAL tail. `user_count` sizes validation
 // only (member ids must fall inside the population). Fails, touching no
-// file, when the stream holds a checksum-valid frame that does not decode
-// (see wal.h).
+// file, when the stream holds a complete frame that fails its checksum
+// (kDataLoss) or a checksum-valid frame that does not decode (see wal.h).
 util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
                                                uint32_t shard,
                                                uint32_t user_count);

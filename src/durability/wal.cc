@@ -53,7 +53,7 @@ std::string EncodeWalRecord(const WalRecord& record) {
   return payload;
 }
 
-util::Result<WalRecord> DecodeWalRecord(const std::string& payload) {
+util::Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   codec::Reader reader(payload.data(), payload.size());
   WalRecord record;
   uint8_t type = 0;
@@ -149,11 +149,15 @@ uint64_t WalWriter::records_appended() const {
 namespace {
 
 // Scans the framed log in `bytes`; intact records go to `result`, and the
-// offset of the first torn frame comes back in `valid_bytes`. A frame that
-// is short or fails its checksum is a torn tail: everything from it on is
-// reported as torn. A checksum-valid frame that does not decode is an
-// error -- a torn append cannot produce a valid checksum.
-util::Status ScanWal(const std::string& path, const std::string& bytes,
+// offset of the first torn frame comes back in `valid_bytes`. A torn append
+// writes only a prefix of its frame, so a frame that is short -- its header
+// or its declared payload runs past the end of the file -- is a torn tail,
+// and everything from it on is reported as torn. A frame that is complete
+// but fails its checksum, or that passes its checksum and does not decode,
+// cannot come from a torn append: both are errors (kDataLoss and
+// kInvalidArgument), so no caller cuts intact records away behind them.
+// Payloads are checked and decoded in place.
+util::Status ScanWal(const std::string& path, std::string_view bytes,
                      WalReadResult* result, size_t* valid_bytes) {
   codec::Reader reader(bytes.data(), bytes.size());
   *valid_bytes = 0;
@@ -166,10 +170,13 @@ util::Status ScanWal(const std::string& path, const std::string& bytes,
         reader.pos + payload_len > reader.size) {
       break;
     }
-    const std::string payload = bytes.substr(reader.pos, payload_len);
+    const std::string_view payload = bytes.substr(reader.pos, payload_len);
     reader.pos += payload_len;
     if (util::FnvHashBytes(payload.data(), payload.size()) != checksum) {
-      break;
+      return util::DataLossError(
+          "WAL frame at byte " + std::to_string(frame_start) + " of " +
+          path + " is complete but fails its checksum: the log is "
+          "corrupt, not torn");
     }
     auto record = DecodeWalRecord(payload);
     if (!record.ok()) {
@@ -185,9 +192,10 @@ util::Status ScanWal(const std::string& path, const std::string& bytes,
   return util::Status();
 }
 
-}  // namespace
-
-util::Result<WalReadResult> ReadWal(const std::string& path) {
+// Reads `path` once and scans it; when `truncate` is set, cuts a torn tail
+// that scan found. A scan error leaves the file untouched.
+util::Result<WalReadResult> ReadAndScan(const std::string& path,
+                                        bool truncate) {
   WalReadResult result;
   if (!std::filesystem::exists(path)) return result;  // empty log
   auto contents = codec::ReadWholeFile(path);
@@ -196,26 +204,32 @@ util::Result<WalReadResult> ReadWal(const std::string& path) {
   const util::Status scanned =
       ScanWal(path, contents.value(), &result, &valid_bytes);
   if (!scanned.ok()) return scanned;
+  if (truncate && result.torn_bytes > 0) {
+    std::error_code error;
+    std::filesystem::resize_file(path, valid_bytes, error);
+    if (error) {
+      return util::UnavailableError("cannot truncate torn WAL tail: " +
+                                    error.message());
+    }
+  }
   return result;
 }
 
+}  // namespace
+
+util::Result<WalReadResult> ReadWal(const std::string& path) {
+  return ReadAndScan(path, /*truncate=*/false);
+}
+
 util::Result<uint64_t> TruncateTornTail(const std::string& path) {
-  if (!std::filesystem::exists(path)) return uint64_t{0};
-  auto contents = codec::ReadWholeFile(path);
-  if (!contents.ok()) return contents.status();
-  WalReadResult scanned;
-  size_t valid_bytes = 0;
-  const util::Status status =
-      ScanWal(path, contents.value(), &scanned, &valid_bytes);
-  if (!status.ok()) return status;
-  if (scanned.torn_bytes == 0) return uint64_t{0};
-  std::error_code error;
-  std::filesystem::resize_file(path, valid_bytes, error);
-  if (error) {
-    return util::UnavailableError("cannot truncate torn WAL tail: " +
-                                  error.message());
-  }
-  return scanned.torn_bytes;
+  auto scanned = ReadAndScan(path, /*truncate=*/true);
+  if (!scanned.ok()) return scanned.status();
+  return scanned.value().torn_bytes;
+}
+
+util::Result<WalReadResult> ReadWalAndTruncateTornTail(
+    const std::string& path) {
+  return ReadAndScan(path, /*truncate=*/true);
 }
 
 }  // namespace nela::durability

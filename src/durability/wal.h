@@ -20,12 +20,15 @@
 // Type bytes 1 and 3 are retired and never decode.
 //
 // Appends are serialized on an internal mutex, so a crash can tear at most
-// the final record; ReadWal stops at the first length/checksum mismatch and
-// reports the torn byte count, and TruncateTornTail cuts the file back to
-// its valid prefix so a reopened writer appends after intact records only.
-// A frame whose checksum verifies but whose payload does not decode cannot
-// come from a torn append: both calls report it as an error and leave the
-// file untouched, so no later commit is ever truncated away behind it.
+// the final record, and a torn append leaves a prefix of its frame: a frame
+// whose header or declared payload runs past the end of the file. ReadWal
+// stops at such a frame and reports the torn byte count, and
+// TruncateTornTail cuts the file back to its valid prefix so a reopened
+// writer appends after intact records only. A complete frame that fails
+// its checksum (kDataLoss), or that passes it and does not decode
+// (kInvalidArgument), cannot come from a torn append: every reader reports
+// it as an error and leaves the file untouched, so no later commit is ever
+// truncated away behind it.
 //
 // The service runs one log per spatial shard (durability/shard_layout.h).
 // A stream sees only the commits its shard coordinated, so replay cannot
@@ -51,6 +54,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/registry.h"
@@ -91,7 +95,7 @@ struct WalRecord {
 std::string EncodeWalRecord(const WalRecord& record);
 
 // Parses one payload; rejects truncated or unknown-type payloads.
-util::Result<WalRecord> DecodeWalRecord(const std::string& payload);
+util::Result<WalRecord> DecodeWalRecord(std::string_view payload);
 
 // Appends framed records to one log file. Thread-safe; each Append is
 // flushed before returning so the record survives a process crash (the
@@ -139,17 +143,22 @@ struct WalReadResult {
   uint64_t torn_bytes = 0;
 };
 
-// Reads every intact record from `path`. A torn tail (short frame or
-// checksum mismatch) is normal after a crash and is reported, not treated
-// as an error; a missing file reads as an empty log. A checksum-valid frame
-// that does not decode is an error.
+// Reads every intact record from `path`. A torn tail (a short final frame)
+// is normal after a crash and is reported, not treated as an error; a
+// missing file reads as an empty log. A complete frame that fails its
+// checksum is kDataLoss; a checksum-valid frame that does not decode is
+// kInvalidArgument.
 util::Result<WalReadResult> ReadWal(const std::string& path);
 
 // Truncates `path` back to its longest valid record prefix. Returns the
 // number of bytes removed (0 when the log was already intact or missing).
-// Fails, leaving the file byte-identical, on a checksum-valid frame that
-// does not decode.
+// Fails, leaving the file byte-identical, on the frames ReadWal rejects.
 util::Result<uint64_t> TruncateTornTail(const std::string& path);
+
+// Recovery's single pass over one stream: ReadWal and TruncateTornTail from
+// one read and one scan of the file. `torn_bytes` is what was cut.
+util::Result<WalReadResult> ReadWalAndTruncateTornTail(
+    const std::string& path);
 
 }  // namespace nela::durability
 

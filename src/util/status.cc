@@ -20,6 +20,8 @@ const char* StatusCodeName(StatusCode code) {
       return "DEADLINE_EXCEEDED";
     case StatusCode::kInternal:
       return "INTERNAL";
+    case StatusCode::kDataLoss:
+      return "DATA_LOSS";
   }
   return "UNKNOWN";
 }
@@ -54,6 +56,9 @@ Status DeadlineExceededError(std::string message) {
 }
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
+}
+Status DataLossError(std::string message) {
+  return Status(StatusCode::kDataLoss, std::move(message));
 }
 
 }  // namespace nela::util

@@ -25,6 +25,9 @@ enum class StatusCode {
   kUnavailable,
   kDeadlineExceeded,
   kInternal,
+  // Stored data is damaged beyond what a crash can leave behind (e.g. a
+  // complete WAL frame whose checksum fails): recovery must not repair it.
+  kDataLoss,
 };
 
 // Returns a stable human-readable name, e.g. "INVALID_ARGUMENT".
@@ -67,6 +70,7 @@ Status OutOfRangeError(std::string message);
 Status UnavailableError(std::string message);
 Status DeadlineExceededError(std::string message);
 Status InternalError(std::string message);
+Status DataLossError(std::string message);
 
 // A value or an error. Accessing value() on an error aborts. [[nodiscard]]
 // for the same reason as Status: discarding a Result discards the error.

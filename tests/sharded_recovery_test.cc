@@ -267,6 +267,51 @@ TEST(ShardedRecoveryTest, ChecksumValidUndecodableFrameIsAnError) {
   }
 }
 
+// A torn append leaves a prefix of its frame, so a frame whose declared
+// length fits in the file but whose checksum fails is corruption, not a
+// torn tail. One bit flipped in frame 3 of 10 must fail every reader with
+// kDataLoss and leave the stream byte-identical -- never cut it back to two
+// frames and report success.
+TEST(ShardedRecoveryTest, MidLogBitFlipIsDataLossNotATornTail) {
+  const uint32_t user_count = SharedScenario().dataset.size();
+  const std::string dir = FreshCaseDir("mid_log_bit_flip");
+  const std::string stream_path = durability::ShardWalPath(dir, 0);
+  {
+    cluster::Registry registry(user_count);
+    auto durable = durability::ShardedDurableRegistry::Open(
+        &registry, dir, 1, nullptr, {1}, {}, /*truncate=*/true);
+    ASSERT_TRUE(durable.ok());
+    for (graph::VertexId first = 0; first < 50; first += 5) {
+      cluster::ClusterInfo info;
+      info.members = {first, first + 1, first + 2, first + 3, first + 4};
+      info.connectivity = 0.5;
+      ASSERT_TRUE(durable.value()->RegisterBatch(0, {info}).ok());
+    }
+  }
+  auto intact = durability::ReadWal(stream_path);
+  ASSERT_TRUE(intact.ok());
+  ASSERT_EQ(intact.value().records.size(), 10u);
+
+  // Every frame has the same size; flip a payload bit of the third.
+  std::string bytes = ReadBytes(stream_path);
+  const size_t frame_size = bytes.size() / 10;
+  bytes[2 * frame_size + 12 + 20] ^= 0x10;
+  std::filesystem::remove(stream_path);
+  AppendBytes(stream_path, bytes);
+
+  const auto expect_data_loss = [](const util::Status& status) {
+    EXPECT_EQ(status.code(), util::StatusCode::kDataLoss)
+        << status.ToString();
+  };
+  expect_data_loss(durability::ReadWal(stream_path).status());
+  expect_data_loss(durability::TruncateTornTail(stream_path).status());
+  expect_data_loss(durability::RecoverShard(dir, 0, user_count).status());
+  expect_data_loss(
+      durability::RecoverAllShards(dir, 1, user_count).status());
+  EXPECT_EQ(ReadBytes(stream_path), bytes)
+      << "recovery cut intact frames away behind a corrupt one";
+}
+
 // The checkpoint side of the same rule: a checksum-valid checkpoint whose
 // region bytes no rectangle can hold is rejected like a torn one, and
 // recovery falls back to the previous checkpoint plus WAL replay.
