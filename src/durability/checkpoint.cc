@@ -100,6 +100,10 @@ void AppendShardCheckpointEntry(std::string* out, cluster::ClusterId id,
   if (info.region.has_value()) codec::PutRect(out, *info.region);
 }
 
+void AppendCheckpointTrailer(std::string* body) {
+  codec::PutU64(body, util::FnvHashBytes(body->data(), body->size()));
+}
+
 std::string EncodeShardCheckpoint(const ShardCheckpointImage& image) {
   std::string body;
   AppendShardCheckpointHeader(&body, image.user_count, image.covered_lsn,
@@ -107,7 +111,7 @@ std::string EncodeShardCheckpoint(const ShardCheckpointImage& image) {
   for (const ShardCheckpointCluster& entry : image.clusters) {
     AppendShardCheckpointEntry(&body, entry.id, entry.info);
   }
-  codec::PutU64(&body, util::FnvHashBytes(body.data(), body.size()));
+  AppendCheckpointTrailer(&body);
   return body;
 }
 

@@ -19,7 +19,8 @@
 // number and written whole by one call, from bytes the writer already holds:
 // the service keeps each stream's cluster entries encoded between cuts
 // (durability/sharded_durable_registry.h), so a cut assembles header,
-// entries and trailer without reading the registry. A crash mid-write
+// entries and trailer without reading the registry, and may be written
+// after the commit that queued it. A crash mid-write
 // (ProcessCrashPoint::kMidCheckpoint) leaves a file whose trailer checksum
 // cannot match, which ReadShardCheckpoint rejects so recovery falls back to
 // the previous checkpoint -- or, with none left intact, to the whole WAL,
@@ -70,14 +71,16 @@ std::optional<uint64_t> CheckpointSeqOf(const std::string& filename);
 util::Result<std::vector<uint64_t>> ListCheckpointSeqs(const std::string& dir);
 
 // Serializes one shard's slice: the header, each entry in order, then the
-// FNV-1a trailer over both. The two pieces below are exactly those bytes, for
-// writers that keep their entries encoded.
+// FNV-1a trailer over both. The three pieces below are exactly those bytes,
+// for writers that keep their entries encoded.
 std::string EncodeShardCheckpoint(const ShardCheckpointImage& image);
 void AppendShardCheckpointHeader(std::string* out, uint32_t user_count,
                                  uint64_t covered_lsn,
                                  uint32_t cluster_count);
 void AppendShardCheckpointEntry(std::string* out, cluster::ClusterId id,
                                 const cluster::ClusterInfo& info);
+// Appends the trailer: the FNV-1a hash of everything already in `body`.
+void AppendCheckpointTrailer(std::string* body);
 
 // Writes `encoded` to `path` in full and flushes (fflush, no fsync).
 [[nodiscard]] util::Status WriteCheckpointFile(const std::string& path,

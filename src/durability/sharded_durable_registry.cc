@@ -7,7 +7,6 @@
 #include "durability/checkpoint.h"
 #include "durability/codec.h"
 #include "durability/shard_layout.h"
-#include "util/hash.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -55,6 +54,9 @@ ShardedDurableRegistry::ShardedDurableRegistry(
     std::sort(ids[stream].begin(), ids[stream].end());
     for (cluster::ClusterId id : ids[stream]) CacheEntryLocked(stream, id);
   }
+  util::MutexLock cuts_lock(cuts_mu_);
+  queued_.resize(ids.size());
+  kept_seqs_.resize(ids.size());
 }
 
 util::Result<std::unique_ptr<ShardedDurableRegistry>>
@@ -79,8 +81,7 @@ ShardedDurableRegistry::Open(
     store->wals_.push_back(std::move(wal).value());
     auto kept = ListCheckpointSeqs(ShardCheckpointDir(base_dir, shard));
     if (!kept.ok()) return kept.status();
-    util::MutexLock lock(store->mu_);
-    store->slices_[shard].kept_seqs = std::move(kept).value();
+    store->kept_seqs_[shard] = std::move(kept).value();
   }
   return store;
 }
@@ -178,15 +179,13 @@ void ShardedDurableRegistry::CacheEntryLocked(uint32_t stream,
   slice.entries.push_back(std::move(entry));
 }
 
-void ShardedDurableRegistry::EncodeCutLocked(uint32_t stream) {
+void ShardedDurableRegistry::EncodeCutBodyLocked(uint32_t stream) {
   const Slice& slice = slices_[stream];
   cut_bytes_.clear();
   AppendShardCheckpointHeader(&cut_bytes_, user_count_,
                               next_lsns_[stream] - 1,
                               static_cast<uint32_t>(slice.ids.size()));
   for (const std::string& entry : slice.entries) cut_bytes_.append(entry);
-  codec::PutU64(&cut_bytes_,
-                util::FnvHashBytes(cut_bytes_.data(), cut_bytes_.size()));
 }
 
 std::string ShardedDurableRegistry::ReferenceCutLocked(
@@ -205,17 +204,20 @@ std::string ShardedDurableRegistry::ReferenceCutLocked(
   return EncodeShardCheckpoint(image);
 }
 
-util::Status ShardedDurableRegistry::PruneLocked(uint32_t stream,
-                                                 uint64_t seq) {
-  Slice& slice = slices_[stream];
-  std::vector<uint64_t>& kept = slice.kept_seqs;
+util::Status ShardedDurableRegistry::WriteCut(uint32_t stream, uint64_t seq,
+                                              std::string* body) {
+  AppendCheckpointTrailer(body);
+  const std::string dir = ShardCheckpointDir(base_dir_, stream);
+  const util::Status written =
+      WriteCheckpointFile(CheckpointPath(dir, seq), *body);
+  if (!written.ok()) return written;
+  std::vector<uint64_t>& kept = kept_seqs_[stream];
   kept.insert(std::upper_bound(kept.begin(), kept.end(), seq), seq);
   kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
   // kept[0, cut) is older than `seq`; all but its last entry go.
   const size_t cut = static_cast<size_t>(
       std::lower_bound(kept.begin(), kept.end(), seq) - kept.begin());
   if (cut < 2) return util::Status();
-  const std::string dir = ShardCheckpointDir(base_dir_, stream);
   size_t removed = 0;
   util::Status status;
   for (; removed + 1 < cut; ++removed) {
@@ -230,6 +232,50 @@ util::Status ShardedDurableRegistry::PruneLocked(uint32_t stream,
   }
   kept.erase(kept.begin(), kept.begin() + static_cast<ptrdiff_t>(removed));
   return status;
+}
+
+util::Status ShardedDurableRegistry::WriteCuts(bool wait) {
+  util::MutexLock lock(cuts_mu_);
+  if (writer_busy_ && !wait) return util::Status();
+  while (writer_busy_) writer_done_.Wait(lock);
+  writer_busy_ = true;
+  util::Status status;
+  while (status.ok()) {
+    // Oldest queued cut first.
+    uint32_t stream = 0;
+    bool found = false;
+    for (uint32_t s = 0; s < queued_.size(); ++s) {
+      if (queued_[s].queued &&
+          (!found || queued_[s].seq < queued_[stream].seq)) {
+        stream = s;
+        found = true;
+      }
+    }
+    if (!found) break;
+    QueuedCut& next = queued_[stream];
+    next.queued = false;
+    const uint64_t seq = next.seq;
+    writing_.swap(next.body);
+    lock.Unlock();
+    status = WriteCut(stream, seq, &writing_);
+    lock.Lock();
+  }
+  writer_busy_ = false;
+  writer_done_.NotifyAll();
+  return status;
+}
+
+void ShardedDurableRegistry::DeferCutWrites() {
+  util::MutexLock lock(mu_);
+  defer_cut_writes_ = true;
+}
+
+util::Status ShardedDurableRegistry::WriteQueuedCuts() {
+  return WriteCuts(/*wait=*/false);
+}
+
+util::Status ShardedDurableRegistry::DrainCuts() {
+  return WriteCuts(/*wait=*/true);
 }
 
 void ShardedDurableRegistry::SetCutAuditForTesting(CutAudit audit) {
@@ -249,22 +295,40 @@ util::Status ShardedDurableRegistry::CheckpointAll(uint64_t seq) {
   for (uint32_t stream = 0; stream < wals_.size(); ++stream) {
     Slice& slice = slices_[stream];
     const std::string dir = ShardCheckpointDir(base_dir_, stream);
-    const std::string path = CheckpointPath(dir, seq);
     if (crash_ != nullptr &&
         crash_->ShouldCrash(net::ProcessCrashPoint::kMidCheckpoint)) {
-      EncodeCutLocked(stream);
-      (void)WriteTornCheckpointFile(path, cut_bytes_, cut_bytes_.size() / 2);
+      // Every cut queued before the crash reaches the disk first, as it
+      // would with the writes on the commit path.
+      (void)DrainCuts();
+      EncodeCutBodyLocked(stream);
+      AppendCheckpointTrailer(&cut_bytes_);
+      (void)WriteTornCheckpointFile(CheckpointPath(dir, seq), cut_bytes_,
+                                    cut_bytes_.size() / 2);
       return CrashError(net::ProcessCrashPoint::kMidCheckpoint);
     }
     const uint64_t covered_lsn = next_lsns_[stream] - 1;
+    const std::optional<uint64_t> last_cut_lsn = slice.cut_lsn;
+    const uint64_t last_cut_seq = slice.cut_seq;
     if (slice.cut_lsn != covered_lsn) {
-      EncodeCutLocked(stream);
-      const util::Status written = WriteCheckpointFile(path, cut_bytes_);
-      if (!written.ok()) return written;
+      EncodeCutBodyLocked(stream);
+      {
+        util::MutexLock cuts_lock(cuts_mu_);
+        QueuedCut& queued = queued_[stream];
+        queued.queued = true;
+        queued.seq = seq;
+        queued.body.swap(cut_bytes_);
+      }
       slice.cut_lsn = covered_lsn;
       slice.cut_seq = seq;
-      const util::Status pruned = PruneLocked(stream, seq);
-      if (!pruned.ok()) return pruned;
+    }
+    if (!defer_cut_writes_ || audit) {
+      const util::Status drained = DrainCuts();
+      if (!drained.ok()) {
+        // Not cut after all: the next CheckpointAll tries the stream again.
+        slice.cut_lsn = last_cut_lsn;
+        slice.cut_seq = last_cut_seq;
+        return drained;
+      }
     }
     if (audit) {
       audit(stream, CheckpointPath(dir, slice.cut_seq),

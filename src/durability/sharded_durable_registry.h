@@ -38,6 +38,17 @@
 // that is safe because the WAL is never truncated, so a recovery that
 // rejects both kept checkpoints replays the whole stream.
 //
+// Cut writes. CheckpointAll snapshots each moved stream's header and
+// cached entries under mu_ and queues them; hashing, writing the file and
+// pruning happen under no lock the commit path takes. By default
+// CheckpointAll then writes the queue itself, so its files exist when it
+// returns. After DeferCutWrites() it returns once the snapshots are
+// queued, and the service's workers write them between requests
+// (WriteQueuedCuts) and at the end of the run (DrainCuts): file-system
+// latency then never stalls a commit. A queued cut that a newer cut of
+// the same stream overtakes before it is written is dropped -- a
+// checkpoint only bounds replay, and the newer one covers more.
+//
 // The crash scheduler hook injects ProcessCrashPoint::kMidWalAppend and
 // kMidCheckpoint faults: the record or checkpoint is half-written, nothing
 // is applied, and the call returns kUnavailable, after which the driver
@@ -96,20 +107,33 @@ class ShardedDurableRegistry {
   // entries. Each written cut prunes the stream to two checkpoints (this
   // one and the one before it). Every stream, moved or not, passes the
   // kMidCheckpoint crash point in order, so a FaultPlan fires at the same
-  // stream as it would with no skipping: the crash tears that stream's
-  // file for `seq` and leaves the remaining shards' files uncut.
+  // stream as it would with no skipping: the crash writes every queued cut,
+  // tears that stream's file for `seq` and leaves the remaining shards'
+  // files uncut.
   [[nodiscard]] util::Status CheckpointAll(uint64_t seq) EXCLUDES(mu_);
+
+  // From now on CheckpointAll only queues its cuts (see "Cut writes"
+  // above); the caller must write them with WriteQueuedCuts or DrainCuts.
+  void DeferCutWrites() EXCLUDES(mu_);
+  // Writes the queued cuts unless another thread is already writing them;
+  // returns at once when there is nothing to do. Returns the first write
+  // or prune error.
+  [[nodiscard]] util::Status WriteQueuedCuts() EXCLUDES(cuts_mu_);
+  // Waits for any thread writing cuts, then writes every queued cut.
+  // After it returns OK, every cut CheckpointAll has queued is on disk or
+  // was overtaken by one that is.
+  [[nodiscard]] util::Status DrainCuts() EXCLUDES(cuts_mu_);
 
   // Test hook for the differential check of the cached image. While one is
   // installed (process-wide; an empty function removes it), CheckpointAll
   // also encodes each stream's image from the registry -- reading every
   // cluster of the slice back out of it, the reference the cache must
   // match -- and calls `audit(stream, newest_checkpoint_path,
-  // reference_bytes)` after
-  // the stream is cut or skipped. `newest_checkpoint_path` is the file
-  // recovery would restore first; a correct cache makes its bytes equal
-  // `reference_bytes`. Not for production use: the reference costs what
-  // the cache saves.
+  // reference_bytes)` after the stream is cut or skipped, having written
+  // the queue first even when writes are deferred, so every cut is
+  // audited. `newest_checkpoint_path` is the file recovery would restore
+  // first; a correct cache makes its bytes equal `reference_bytes`. Not
+  // for production use: the reference costs what the cache saves.
   using CutAudit = std::function<void(uint32_t stream,
                                       const std::string& newest_checkpoint,
                                       const std::string& reference)>;
@@ -139,9 +163,14 @@ class ShardedDurableRegistry {
     // Covered lsn and seq of this process's last cut of the stream, if any.
     std::optional<uint64_t> cut_lsn;
     uint64_t cut_seq = 0;
-    // Checkpoint seqs on disk, ascending, intact or not (seeded from the
-    // directory at Open, so a resumed run prunes what a crash left).
-    std::vector<uint64_t> kept_seqs;
+  };
+
+  // A stream's newest cut not yet written: header and entries, without
+  // the FNV trailer (the writer appends it).
+  struct QueuedCut {
+    bool queued = false;
+    uint64_t seq = 0;
+    std::string body;
   };
 
   ShardedDurableRegistry(cluster::Registry* registry, std::string base_dir,
@@ -153,15 +182,20 @@ class ShardedDurableRegistry {
   // Appends the entry of registered cluster `id` to `stream`'s slice.
   void CacheEntryLocked(uint32_t stream, cluster::ClusterId id)
       REQUIRES(mu_);
-  // The whole checkpoint file of `stream` at its current covered lsn, from
-  // the cached entries; left in cut_bytes_.
-  void EncodeCutLocked(uint32_t stream) REQUIRES(mu_);
-  // The same file built from the registry (the CutAudit reference).
+  // Header and cached entries of `stream`'s checkpoint at its current
+  // covered lsn -- the whole file but the FNV trailer; left in cut_bytes_.
+  void EncodeCutBodyLocked(uint32_t stream) REQUIRES(mu_);
+  // The whole file built from the registry (the CutAudit reference).
   std::string ReferenceCutLocked(uint32_t stream) const REQUIRES(mu_);
-  // Records cut `seq` of `stream` and deletes every older checkpoint of the
-  // stream except the newest of them.
-  [[nodiscard]] util::Status PruneLocked(uint32_t stream, uint64_t seq)
-      REQUIRES(mu_);
+  // Takes the writer role -- waiting for it when `wait`, else returning at
+  // once if another thread holds it -- and writes queued cuts until none
+  // is left or one fails.
+  [[nodiscard]] util::Status WriteCuts(bool wait) EXCLUDES(cuts_mu_);
+  // Seals `body` with its trailer, writes it as cut `seq` of `stream`,
+  // records it and deletes every older checkpoint of the stream except the
+  // newest of them. Writer role only.
+  [[nodiscard]] util::Status WriteCut(uint32_t stream, uint64_t seq,
+                                      std::string* body);
 
   cluster::Registry* registry_;
   const std::string base_dir_;
@@ -178,8 +212,25 @@ class ShardedDurableRegistry {
   std::unordered_map<cluster::ClusterId, uint32_t> stream_of_
       GUARDED_BY(mu_);
   std::vector<Slice> slices_ GUARDED_BY(mu_);
-  // Scratch for the file being cut; keeps its capacity between cuts.
+  bool defer_cut_writes_ GUARDED_BY(mu_) = false;
+  // Scratch for the file being cut; keeps its capacity between cuts (it
+  // trades buffers with the queue).
   std::string cut_bytes_ GUARDED_BY(mu_);
+
+  // The cut queue, one slot per stream. Taken after mu_ (CheckpointAll
+  // queues under both); never held across file I/O.
+  util::Mutex cuts_mu_ ACQUIRED_AFTER(mu_);
+  util::CondVar writer_done_;
+  std::vector<QueuedCut> queued_ GUARDED_BY(cuts_mu_);
+  // Set while one thread holds the writer role: only that thread touches
+  // the members below, which cuts_mu_ hands from holder to holder.
+  bool writer_busy_ GUARDED_BY(cuts_mu_) = false;
+  // Per stream, the checkpoint seqs on disk, ascending, intact or not
+  // (seeded from the directory at Open, so a resumed run prunes what a
+  // crash left).
+  std::vector<std::vector<uint64_t>> kept_seqs_;
+  // The body being written; keeps its capacity between cuts.
+  std::string writing_;
 };
 
 }  // namespace nela::durability

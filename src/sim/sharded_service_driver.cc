@@ -714,6 +714,8 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
         truncate_wal);
     if (!durable.ok()) return durable.status();
     run.durable = std::move(durable).value();
+    // Checkpoint files are written between requests, not in the turnstile.
+    run.durable->DeferCutWrites();
     run.region_writer =
         std::make_unique<ShardedRegionWriter>(run.durable.get());
   }
@@ -755,7 +757,10 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
       const uint64_t rank =
           run.next_work.fetch_add(1, std::memory_order_relaxed);
       if (rank >= run.admitted_ordinals.size()) break;
-      const util::Status status = ProcessRequest(run, rank);
+      util::Status status = ProcessRequest(run, rank);
+      if (status.ok() && run.durable != nullptr) {
+        status = run.durable->WriteQueuedCuts();
+      }
       if (!status.ok()) {
         util::MutexLock lock(run.mu);
         if (run.first_error.ok()) run.first_error = status;
@@ -768,6 +773,11 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   // thread count.
   util::ThreadPool pool(thread_count);
   pool.RunOnAllThreads([&worker](uint32_t) { worker(); });
+  if (run.durable != nullptr) {
+    const util::Status drained = run.durable->DrainCuts();
+    util::MutexLock lock(run.mu);
+    if (!drained.ok() && run.first_error.ok()) run.first_error = drained;
+  }
 
   const double wall_seconds = wall_timer.ElapsedSeconds();
 

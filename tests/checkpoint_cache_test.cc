@@ -1,6 +1,7 @@
 // Checkpoint fast path: each stream's checkpoint entries are cached
 // encoded, streams that have not moved are not cut again, and every stream
-// keeps two checkpoints on disk.
+// keeps two checkpoints on disk. With writes deferred (the service's
+// mode), CheckpointAll only queues its cuts and the writer writes them.
 //
 // The differential test runs the service with a CutAudit installed: at
 // every cut, the stream's newest checkpoint file must equal
@@ -25,6 +26,7 @@
 #include "cluster/registry.h"
 #include "core/policy_factory.h"
 #include "durability/checkpoint.h"
+#include "durability/crash_scheduler.h"
 #include "durability/shard_layout.h"
 #include "durability/sharded_durable_registry.h"
 #include "durability/sharded_recovery.h"
@@ -219,6 +221,16 @@ std::vector<uint64_t> SeqsOnDisk(const std::string& dir, uint32_t shard) {
   return std::move(seqs).value();
 }
 
+uint64_t AssembledDigestOf(durability::ShardRecoveredState shard,
+                           uint32_t user_count) {
+  durability::ShardedRecoveredState state;
+  state.user_count = user_count;
+  state.shards.push_back(std::move(shard));
+  auto registry = durability::AssembleRegistry(state);
+  NELA_CHECK(registry.ok());
+  return registry.value()->Digest();
+}
+
 // One shard driven directly: a cut of a stream that has not moved writes
 // no file, and each written cut prunes the stream to two checkpoints.
 TEST(CheckpointRetentionTest, SkipsUnmovedStreamsAndKeepsTwo) {
@@ -254,6 +266,77 @@ TEST(CheckpointRetentionTest, SkipsUnmovedStreamsAndKeepsTwo) {
   EXPECT_EQ(recovered.value().clusters[0].info.members,
             (std::vector<graph::VertexId>{1, 3, 5}));
   EXPECT_TRUE(recovered.value().clusters[0].info.region.has_value());
+}
+
+// Deferred writes: CheckpointAll only queues, the writer writes, and a
+// cut overtaken by a newer one of the same stream is never written.
+TEST(CheckpointRetentionTest, DeferredCutsWaitForTheWriter) {
+  const std::string dir = FreshCaseDir("deferred");
+  const uint32_t user_count = SharedScenario().dataset.size();
+  cluster::Registry registry(user_count);
+  auto opened = durability::ShardedDurableRegistry::Open(
+      &registry, dir, 1, nullptr, {1}, {}, /*truncate=*/true);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  durability::ShardedDurableRegistry& durable = *opened.value();
+  durable.DeferCutWrites();
+
+  cluster::ClusterInfo info;
+  info.members = {5, 3, 1};
+  info.connectivity = 0.5;
+  ASSERT_TRUE(durable.RegisterBatch(0, {info}).ok());
+  ASSERT_TRUE(durable.CheckpointAll(1).ok());
+  EXPECT_TRUE(SeqsOnDisk(dir, 0).empty());
+  ASSERT_TRUE(durable.SetRegion(0, geo::Rect(0.25, 0.25, 0.5, 0.5)).ok());
+  ASSERT_TRUE(durable.CheckpointAll(2).ok());
+  EXPECT_TRUE(SeqsOnDisk(dir, 0).empty());
+  ASSERT_TRUE(durable.WriteQueuedCuts().ok());
+  EXPECT_EQ(SeqsOnDisk(dir, 0), (std::vector<uint64_t>{2}));
+
+  info.members = {7, 8, 9};
+  ASSERT_TRUE(durable.RegisterBatch(0, {info}).ok());
+  ASSERT_TRUE(durable.CheckpointAll(3).ok());
+  ASSERT_TRUE(durable.DrainCuts().ok());
+  EXPECT_EQ(SeqsOnDisk(dir, 0), (std::vector<uint64_t>{2, 3}));
+
+  auto recovered = durability::RecoverShard(dir, 0, user_count);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().checkpoint_seq, 3u);
+  EXPECT_EQ(recovered.value().records_replayed, 0u);
+  EXPECT_EQ(AssembledDigestOf(recovered.value(), user_count),
+            registry.Digest());
+}
+
+// A kMidCheckpoint crash writes the queued cuts before it tears the file,
+// as it would with the writes on the commit path.
+TEST(CheckpointRetentionTest, MidCheckpointCrashWritesQueuedCutsFirst) {
+  const std::string dir = FreshCaseDir("deferred_crash");
+  const uint32_t user_count = SharedScenario().dataset.size();
+  cluster::Registry registry(user_count);
+  durability::CrashPointScheduler crash({net::ProcessCrashEvent{
+      net::ProcessCrashPoint::kMidCheckpoint, 2}});
+  auto opened = durability::ShardedDurableRegistry::Open(
+      &registry, dir, 1, &crash, {1}, {}, /*truncate=*/true);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  durability::ShardedDurableRegistry& durable = *opened.value();
+  durable.DeferCutWrites();
+
+  cluster::ClusterInfo info;
+  info.members = {5, 3, 1};
+  info.connectivity = 0.5;
+  ASSERT_TRUE(durable.RegisterBatch(0, {info}).ok());
+  ASSERT_TRUE(durable.CheckpointAll(1).ok());
+  info.members = {7, 8, 9};
+  ASSERT_TRUE(durable.RegisterBatch(0, {info}).ok());
+  ASSERT_FALSE(durable.CheckpointAll(2).ok());
+  EXPECT_EQ(SeqsOnDisk(dir, 0), (std::vector<uint64_t>{1, 2}));
+
+  auto recovered = durability::RecoverShard(dir, 0, user_count);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().checkpoint_seq, 1u);
+  EXPECT_EQ(recovered.value().checkpoints_rejected, 1u);
+  EXPECT_EQ(recovered.value().records_replayed, 1u);
+  EXPECT_EQ(AssembledDigestOf(recovered.value(), user_count),
+            registry.Digest());
 }
 
 TEST(CheckpointRetentionTest, CleanRunLeavesAtMostTwoPerShard) {
